@@ -43,7 +43,6 @@ run-length, or delta-compressed backing (pinned by the parity tests in
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 from time import perf_counter_ns
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
@@ -84,38 +83,70 @@ _KINDS = frozenset({KIND_SHARE, KIND_TRIM, KIND_SNAP, KIND_AWRITE,
 _PROGRAM_ATTEMPTS = 4
 
 
-@dataclass(frozen=True)
 class DeltaRecord:
     """One mapping-change assertion.
 
     ``new_ppn`` is None for trims.  ``seq`` totally orders this assertion
     against spare-area stamps and other records.  ``badblk`` records reuse
     ``lpn`` for the retired block number and carry no PPNs.
+
+    A value object: equal (and equally hashed) when all five fields are,
+    and never mutated after construction.  Hand-slotted rather than a
+    frozen dataclass because every SHARE pair, trim and snapshot entry
+    builds one, and the frozen-dataclass ``__init__`` costs several
+    times a plain slotted one.
     """
 
-    kind: str
-    lpn: int
-    old_ppn: Optional[int]
-    new_ppn: Optional[int]
-    seq: int
+    __slots__ = ("kind", "lpn", "old_ppn", "new_ppn", "seq")
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown delta kind: {self.kind!r}")
-        if self.lpn < 0:
-            raise ValueError(f"negative LPN: {self.lpn}")
-        if self.seq < 0:
-            raise ValueError(f"negative seq: {self.seq}")
-        if self.kind == KIND_TRIM and self.new_ppn is not None:
+    def __init__(self, kind: str, lpn: int, old_ppn: Optional[int],
+                 new_ppn: Optional[int], seq: int) -> None:
+        if kind not in _KINDS:
+            raise ValueError(f"unknown delta kind: {kind!r}")
+        if lpn < 0:
+            raise ValueError(f"negative LPN: {lpn}")
+        if seq < 0:
+            raise ValueError(f"negative seq: {seq}")
+        if kind == KIND_TRIM and new_ppn is not None:
             raise ValueError("trim records must have new_ppn=None")
-        if self.kind == KIND_BADBLK and (self.old_ppn is not None
-                                         or self.new_ppn is not None):
+        if kind == KIND_BADBLK and (old_ppn is not None
+                                    or new_ppn is not None):
             raise ValueError("badblk records carry no PPNs")
+        self.kind = kind
+        self.lpn = lpn
+        self.old_ppn = old_ppn
+        self.new_ppn = new_ppn
+        self.seq = seq
+
+    def _key(self) -> Tuple:
+        return (self.kind, self.lpn, self.old_ppn, self.new_ppn, self.seq)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()   # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"DeltaRecord(kind={self.kind!r}, lpn={self.lpn!r}, "
+                f"old_ppn={self.old_ppn!r}, new_ppn={self.new_ppn!r}, "
+                f"seq={self.seq!r})")
+
+
+def _encode(records: Sequence[DeltaRecord]) -> bytes:
+    """Canonical byte encoding of a mapping page's records: every field
+    of every record, in order.  Built from plain tuples, whose ``repr``
+    is native code — the per-record Python ``__repr__`` is the cost this
+    avoids on the commit path."""
+    return repr([(record.kind, record.lpn, record.old_ppn, record.new_ppn,
+                  record.seq) for record in records]).encode("utf-8")
 
 
 def _seal(records: Tuple[DeltaRecord, ...]):
     """Wrap a mapping page's records with a CRC so corruption is detected."""
-    crc = zlib.crc32(repr(records).encode("utf-8")) & 0xFFFFFFFF
+    crc = zlib.crc32(_encode(records)) & 0xFFFFFFFF
     return (MAP_MAGIC, records, crc)
 
 
@@ -126,9 +157,10 @@ def _unseal(payload) -> Optional[List[DeltaRecord]]:
             or payload[0] != MAP_MAGIC):
         return None
     _, records, crc = payload
-    if not isinstance(records, tuple):
+    if not isinstance(records, tuple) or not all(
+            record.__class__ is DeltaRecord for record in records):
         return None
-    if zlib.crc32(repr(records).encode("utf-8")) & 0xFFFFFFFF != crc:
+    if zlib.crc32(_encode(records)) & 0xFFFFFFFF != crc:
         return None
     return list(records)
 

@@ -412,7 +412,6 @@ class PageMappingFtl:
         ``config.program_retry_limit`` blocks before surfacing the typed
         error."""
         last_error: Optional[ProgramFailError] = None
-        inflight = frozenset(lpn for lpn, __ in spare)
         for __ in range(self.config.program_retry_limit):
             ppn = self._alloc_page(for_gc=for_gc)
             try:
@@ -421,7 +420,10 @@ class PageMappingFtl:
                 last_error = exc
                 self.stats.program_fails += 1
                 self._m_program_fails.inc()
-                self._retire_block(self.geometry.block_of(ppn), inflight)
+                # The LPNs being programmed: retirement must not re-stamp
+                # their old copies (built here, off the success path).
+                self._retire_block(self.geometry.block_of(ppn),
+                                   frozenset(lpn for lpn, __ in spare))
                 continue
             return ppn
         raise ProgramFailError(

@@ -9,7 +9,6 @@ long as its delta records fit one mapping page (Section 4.2.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.errors import ShareError
@@ -18,22 +17,38 @@ from repro.errors import ShareError
 MAX_BATCH_UNLIMITED = -1
 
 
-@dataclass(frozen=True)
 class SharePair:
     """One remap: ``dst_lpn`` will point at the physical page of
-    ``src_lpn``."""
+    ``src_lpn``.
 
-    dst_lpn: int
-    src_lpn: int
+    A value object (equal and equally hashed when both fields are,
+    never mutated after construction), hand-slotted because the host
+    builds one per page of every SHARE command."""
 
-    def __post_init__(self) -> None:
-        if self.dst_lpn < 0:
-            raise ShareError(f"negative destination LPN: {self.dst_lpn}")
-        if self.src_lpn < 0:
-            raise ShareError(f"negative source LPN: {self.src_lpn}")
-        if self.dst_lpn == self.src_lpn:
+    __slots__ = ("dst_lpn", "src_lpn")
+
+    def __init__(self, dst_lpn: int, src_lpn: int) -> None:
+        if dst_lpn < 0:
+            raise ShareError(f"negative destination LPN: {dst_lpn}")
+        if src_lpn < 0:
+            raise ShareError(f"negative source LPN: {src_lpn}")
+        if dst_lpn == src_lpn:
             raise ShareError(
-                f"destination and source LPN are identical: {self.dst_lpn}")
+                f"destination and source LPN are identical: {dst_lpn}")
+        self.dst_lpn = dst_lpn
+        self.src_lpn = src_lpn
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dst_lpn == other.dst_lpn   # type: ignore[attr-defined]
+                and self.src_lpn == other.src_lpn)  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((self.dst_lpn, self.src_lpn))
+
+    def __repr__(self) -> str:
+        return f"SharePair(dst_lpn={self.dst_lpn!r}, src_lpn={self.src_lpn!r})"
 
 
 def expand_range(dst_lpn: int, src_lpn: int, length: int) -> List[SharePair]:

@@ -80,8 +80,17 @@ class RedoLog:
     def replay_records(self) -> List[Tuple[int, Any]]:
         """Read back every durable record in LSN order (recovery path).
 
-        The simulated log never wraps during a test, so a linear scan from
-        LPN 0 to the first unmapped page reproduces the durable tail.
+        A linear scan of the log region from LPN 0 to the first unmapped
+        page, sorted by LSN.  That is the whole durable log only while
+        the circular region has not wrapped.  Once :meth:`commit` has
+        recycled it, earlier pages have been overwritten: the scan
+        returns just the records on the surviving pages (the newest
+        region's worth), and everything the wrap overwrote is gone.
+        Long runs wrap it many times — a LinkBench load and run of tens
+        of thousands of commits does — so recovery that replays only
+        this log loses committed work there.  Recovering a wrapped log
+        needs a checkpointed tablespace plus the log tail, which this
+        method does not provide.
         """
         records: List[Tuple[int, Any]] = []
         lpn = 0

@@ -252,6 +252,30 @@ class EventScheduler:
                 fn()
         return fired
 
+    def fire_if_idle(self, time_us: int, fn: Callable[[Any], None],
+                     arg: Any) -> bool:
+        """Fire ``fn(arg)`` at ``time_us`` without queueing it, when
+        nothing else is scheduled; returns False (doing nothing) when the
+        heap holds any event, live or cancelled.
+
+        With an empty heap, scheduling the callback at ``time_us`` and
+        calling ``run_until(time_us)`` would fire exactly it: advance the
+        clock to ``time_us``, count one fired event, run the callback.
+        This does the same three steps with no event object, heap push
+        or pop — the synchronous device command's completion path."""
+        if self._heap:
+            return False
+        self.clock.advance_to(time_us)
+        self.fired += 1
+        pt = self._pt_dispatch
+        if pt is not None:
+            t0 = perf_counter_ns()
+            fn(arg)
+            pt.add(perf_counter_ns() - t0)
+        else:
+            fn(arg)
+        return True
+
     def run_until_idle(self, stall_limit: int = DEFAULT_STALL_LIMIT) -> int:
         """Fire everything pending (events may schedule further events).
 

@@ -298,10 +298,14 @@ class MediaFaultSet:
         self._counting = False
         self.op_counts: Dict[str, int] = {"read": 0, "program": 0,
                                           "erase": 0}
+        #: Whether the chip hooks must be called: a plain attribute read
+        #: on every chip operation, kept current by every method that
+        #: changes the armed faults, the decay model or counting.
+        self.active = False
 
-    @property
-    def active(self) -> bool:
-        return bool(self._faults) or self._decay is not None or self._counting
+    def _refresh_active(self) -> None:
+        self.active = (bool(self._faults) or self._decay is not None
+                       or self._counting)
 
     def arm(self, fault) -> None:
         """Arm a media fault (or a :class:`ReadDecay` model)."""
@@ -310,19 +314,22 @@ class MediaFaultSet:
                 raise ValueError("a ReadDecay model is already armed "
                                  "(disarm first to replace it)")
             self._decay = fault
-            return
-        if not isinstance(fault, MediaFault):
+        elif isinstance(fault, MediaFault):
+            self._faults.append(fault)
+        else:
             raise TypeError(f"not a media fault: {fault!r}")
-        self._faults.append(fault)
+        self._refresh_active()
 
     def disarm(self) -> None:
         """Drop every armed media fault and decay model."""
         self._faults = []
         self._decay = None
+        self._refresh_active()
 
     def enable_counting(self) -> None:
         """Count chip operations even with no fault armed (enumeration)."""
         self._counting = True
+        self._refresh_active()
 
     def armed(self) -> List:
         out: List = list(self._faults)
@@ -355,6 +362,7 @@ class MediaFaultSet:
             if fault.retries_to_clear is not None:
                 if fault._failed_attempts >= fault.retries_to_clear:
                     self._faults.remove(fault)   # cleared by retry
+                    self._refresh_active()
                     continue
                 fault._failed_attempts += 1
             raise UncorrectableReadError(
@@ -383,6 +391,7 @@ class MediaFaultSet:
                 continue
             fault.fired = True
             self._faults.remove(fault)   # one-shot
+            self._refresh_active()
             raise ProgramFailError(
                 f"injected program failure at PPN {ppn}")
 
@@ -539,22 +548,34 @@ class CommandFaultSet:
         self._faults: List[CommandFault] = []
         self._counting = False
         self.op_counts: Dict[str, int] = {kind: 0 for kind in COMMAND_KINDS}
+        #: Whether the device must call :meth:`on_command`: a plain
+        #: attribute read on every host command, kept current by every
+        #: method that changes the armed faults or counting.
+        self.active = False
 
-    @property
-    def active(self) -> bool:
-        return bool(self._faults) or self._counting
+    def _refresh_active(self) -> None:
+        self.active = bool(self._faults) or self._counting
 
     def arm(self, fault: CommandFault) -> None:
         if not isinstance(fault, CommandFault):
             raise TypeError(f"not a command fault: {fault!r}")
         self._faults.append(fault)
+        self._refresh_active()
 
     def disarm(self) -> None:
         self._faults = []
+        self._refresh_active()
 
     def enable_counting(self) -> None:
         """Count commands even with no fault armed (enumeration runs)."""
         self._counting = True
+        self._refresh_active()
+
+    def _remove(self, fault: CommandFault) -> None:
+        """Drop a fault that cleared itself (one-shot fired, or a busy
+        burst drained)."""
+        self._faults.remove(fault)
+        self._refresh_active()
 
     def armed(self) -> List[CommandFault]:
         return list(self._faults)
@@ -586,11 +607,11 @@ class CommandFaultSet:
             if isinstance(fault, LatencySpike):
                 delay_us += fault.delay_us
                 if not fault.sticky:
-                    self._faults.remove(fault)
+                    self._remove(fault)
                 continue
             if isinstance(fault, DeviceBusy):
                 if fault._rejected >= fault.clears_after:
-                    self._faults.remove(fault)   # backpressure drained
+                    self._remove(fault)   # backpressure drained
                     continue
                 fault._rejected += 1
                 raise DeviceBusyError(
@@ -606,7 +627,7 @@ class CommandFaultSet:
                     f"(sticky from #{fault.nth})")
             assert isinstance(fault, CommandTimeout)
             if not fault.sticky:
-                self._faults.remove(fault)
+                self._remove(fault)
             raise CommandTimeoutError(
                 f"injected {kind} timeout on command #{count} at "
                 f"{phase} ({'applied' if phase == 'complete' else 'not applied'})")
@@ -704,22 +725,29 @@ class ClusterFaultSet:
         self._faults: List = []
         self._counting = False
         self.acked_writes = 0
+        #: Whether the router must call :meth:`on_ack`: a plain attribute
+        #: kept current by every method that changes the armed faults or
+        #: counting (fired faults stay armed, so :meth:`on_ack` never
+        #: changes it).
+        self.active = False
 
-    @property
-    def active(self) -> bool:
-        return bool(self._faults) or self._counting
+    def _refresh_active(self) -> None:
+        self.active = bool(self._faults) or self._counting
 
     def arm(self, fault) -> None:
         if not isinstance(fault, CLUSTER_FAULT_TYPES):
             raise TypeError(f"not a cluster fault: {fault!r}")
         self._faults.append(fault)
+        self._refresh_active()
 
     def disarm(self) -> None:
         self._faults = []
+        self._refresh_active()
 
     def enable_counting(self) -> None:
         """Count acks even with no fault armed (enumeration runs)."""
         self._counting = True
+        self._refresh_active()
 
     def armed(self) -> List:
         return list(self._faults)

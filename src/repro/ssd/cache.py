@@ -27,8 +27,10 @@ class DramReadCache:
             raise ValueError(
                 f"capacity must be non-negative: {capacity_pages}")
         self.capacity_pages = capacity_pages
-        # Plain attribute, not a property: lookup/insert run once per
-        # host command and a property costs a Python call each time.
+        # Plain attribute, not a property: the device reads it before
+        # every cache call and skips the call when the cache is off, so
+        # a disabled cache costs one attribute load per host command.
+        # The methods keep their own guard for direct callers.
         self.enabled = capacity_pages > 0
         self._entries: "OrderedDict[int, Any]" = OrderedDict()
         self.hits = 0

@@ -18,10 +18,13 @@ every device sharing the scheduler.
 With no session attached (the default), each command method submits and
 immediately waits for its own completion, which at ``queue_depth=1`` and
 one channel reproduces the old caller-advances-the-clock model
-bit-for-bit.  Attaching a :class:`DeviceSession` turns the same methods
-into non-blocking submissions whose arrival time is the session cursor —
-that is how N closed-loop benchmark clients drive one device
-concurrently.
+bit-for-bit.  When nothing else is pending on the scheduler, that wait
+delivers the completion inline rather than through a scheduled event;
+the clock, the fired-event count and the delivery order are the same
+either way (see :meth:`Ssd._wait`).  Attaching a :class:`DeviceSession`
+turns the same methods into non-blocking submissions whose arrival time
+is the session cursor — that is how N closed-loop benchmark clients
+drive one device concurrently.
 
 A second, plain :class:`Ssd` without SHARE enabled stands in for the
 Samsung PM853T log device of the experimental setup.
@@ -149,6 +152,12 @@ class Ssd:
         # fast paths (same values as the host_read/host_program entries).
         self._read_latency_us = self._work_cost["host_read"]
         self._program_latency_us = self._work_cost["host_program"]
+        # Integer channel occupancy of a lone host_read/host_program
+        # ledger entry — the media piece _price_media would compute for
+        # it, before the clamp to the command total.
+        self._host_media_us: Dict[str, int] = {
+            kind: max(0, int(round(self._work_cost[kind])))
+            for kind in ("host_read", "host_program")}
         self._overhead_us = timing.command_overhead_us
         self._measure_start_us = clock.now_us
         clock.on_reset(self._on_clock_reset)
@@ -284,7 +293,8 @@ class Ssd:
 
     def _read_cmd(self, lpn: int) -> Any:
         self.ftl.take_work()   # discard stale work from direct FTL use
-        cached = self.cache.lookup(lpn)
+        cache = self.cache
+        cached = cache.lookup(lpn) if cache.enabled else None
         if cached is not None:
             self.stats.host_read_pages += 1
             data = cached[0]
@@ -292,12 +302,12 @@ class Ssd:
                                  0.0)   # DRAM-speed hit
         else:
             data = self.ftl.read(lpn)
-            self.cache.insert(lpn, data)
+            if cache.enabled:
+                cache.insert(lpn, data)
             self.stats.host_read_pages += 1
             ticket = self._issue("read", lpn, 1,
                                  self._read_latency_us)
-        if self._session is None:
-            self.events.run_until(ticket.completion_us)
+        self._wait(ticket)
         return data
 
     def write(self, lpn: int, data: Any) -> None:
@@ -314,13 +324,13 @@ class Ssd:
             with self.faults.operation("device.write", (lpn,),
                                        deferred=True) as op:
                 ticket = self._write_cmd(lpn, data, op)
-        if self._session is None:
-            self.events.run_until(ticket.completion_us)
+        self._wait(ticket)
 
     def _write_cmd(self, lpn: int, data: Any, op: Any) -> "CommandTicket":
         self.ftl.take_work()   # discard stale work from direct FTL use
         self.ftl.write(lpn, data)
-        self.cache.insert(lpn, data)
+        if self.cache.enabled:
+            self.cache.insert(lpn, data)
         self.stats.host_write_pages += 1
         return self._issue(
             "write", lpn, 1,
@@ -339,9 +349,11 @@ class Ssd:
                                    deferred=True) as op, \
                 self.telemetry.tracer.span("device.write"):
             self.ftl.take_work()   # discard stale work from direct FTL use
+            cache = self.cache
             for index, page in enumerate(pages):
                 self.ftl.write(lpn + index, page)
-                self.cache.insert(lpn + index, page)
+                if cache.enabled:
+                    cache.insert(lpn + index, page)
             self.stats.host_write_pages += len(pages)
             ticket = self._issue(
                 "write", lpn, len(pages),
@@ -362,8 +374,9 @@ class Ssd:
                 self.telemetry.tracer.span("device.write", atomic=True):
             self.ftl.take_work()   # discard stale work from direct FTL use
             self.ftl.write_atomic(items)
-            for item_lpn, data in items:
-                self.cache.insert(item_lpn, data)
+            if self.cache.enabled:
+                for item_lpn, data in items:
+                    self.cache.insert(item_lpn, data)
             self.stats.host_write_pages += len(items)
             self.stats.extra["atomic_write_commands"] = (
                 self.stats.extra.get("atomic_write_commands", 0) + 1)
@@ -400,8 +413,9 @@ class Ssd:
             self.ftl.take_work()   # discard stale work from direct FTL use
             staged_lpns = list(self.ftl._txn_shadow.get(txn_id, ()))
             self.ftl.commit_txn(txn_id)
-            for lpn in staged_lpns:
-                self.cache.invalidate(lpn)
+            if self.cache.enabled:
+                for lpn in staged_lpns:
+                    self.cache.invalidate(lpn)
             ticket = self._issue("flush", 0, 0, 0.0,
                                  op_kind="device.xcommit", op_record=op)
         self._wait(ticket)
@@ -424,7 +438,8 @@ class Ssd:
                 self.telemetry.tracer.span("device.trim"):
             self.ftl.take_work()   # discard stale work from direct FTL use
             self.ftl.trim(lpn, count)
-            self.cache.invalidate(lpn, count)
+            if self.cache.enabled:
+                self.cache.invalidate(lpn, count)
             self.stats.trim_commands += 1
             ticket = self._issue("trim", lpn, count,
                                  count * self.timing.map_update_us,
@@ -458,8 +473,7 @@ class Ssd:
         else:
             with self.faults.operation("device.flush", deferred=True) as op:
                 ticket = self._flush_cmd(op)
-        if self._session is None:
-            self.events.run_until(ticket.completion_us)
+        self._wait(ticket)
 
     def _flush_cmd(self, op: Any) -> "CommandTicket":
         self.ftl.take_work()   # discard stale work from direct FTL use
@@ -484,7 +498,8 @@ class Ssd:
                 self.telemetry.tracer.span("device.share"):
             self.ftl.take_work()   # discard stale work from direct FTL use
             self.ftl.share(dst_lpn, src_lpn, length)
-            self.cache.invalidate(dst_lpn, length)
+            if self.cache.enabled:
+                self.cache.invalidate(dst_lpn, length)
             self.stats.share_commands += 1
             self.stats.share_pairs += length
             ticket = self._issue("share", dst_lpn, length,
@@ -505,8 +520,9 @@ class Ssd:
                 self.telemetry.tracer.span("device.share"):
             self.ftl.take_work()   # discard stale work from direct FTL use
             self.ftl.share_batch(pairs)
-            for pair in pairs:
-                self.cache.invalidate(pair.dst_lpn)
+            if self.cache.enabled:
+                for pair in pairs:
+                    self.cache.invalidate(pair.dst_lpn)
             self.stats.share_commands += 1
             self.stats.share_pairs += len(pairs)
             ticket = self._issue(
@@ -598,8 +614,10 @@ class Ssd:
                gate_lpns: Optional[Tuple[int, ...]] = None) -> CommandTicket:
         """Price the command (base latency plus the internal work — GC
         copybacks, erases, mapping-page programs, spills — it
-        triggered), admit it through the NCQ, occupy its channels, and
-        queue its completion for the device drain event.
+        triggered), admit it through the NCQ and occupy its channels.
+        With a session attached the completion is queued for the device
+        drain event here; a synchronous command completes in
+        :meth:`_wait`.
 
         Per-command work deltas come from the FTL's work ledger: every
         internal-work counter increment leaves a ledger entry (some,
@@ -614,7 +632,26 @@ class Ssd:
         work = self.ftl.take_work()
         gc_events = 0
         copybacks = 0
-        if work:
+        pieces = None
+        if not work:
+            latency = base_latency_us + self._overhead_us
+            dram_us = int(round(latency))
+        elif len(work) == 1 and work[0][0] in self._host_media_us:
+            # A lone host page read/program (the common command): every
+            # internal-work delta of the expression below is zero, so the
+            # latency is its first two terms, and the one media piece is
+            # the entry's resolved duration clamped to the total — what
+            # _price_media computes for a single entry.
+            (work_kind, channel), = work
+            latency = base_latency_us + self._overhead_us
+            dram_us = int(round(latency))
+            media_us = self._host_media_us[work_kind]
+            if media_us > dram_us:
+                media_us = dram_us
+            if media_us > 0:
+                dram_us -= media_us
+                pieces = ((channel, media_us),)
+        else:
             timing = self.timing
             erases = map_writes = spills = 0
             log_spills = spill_lookups = wear_moves = 0
@@ -637,7 +674,7 @@ class Ssd:
                     wear_moves += 1
             # NOTE: this expression (terms and their order) is the
             # authoritative command latency the serial oracle reproduces
-            # — the no-work branch below is its exact value when every
+            # — the two branches above are its exact value when every
             # delta is zero (x + 0.0*c == x for these non-negative
             # latencies).
             latency = (base_latency_us
@@ -655,11 +692,9 @@ class Ssd:
             stats.spill_lookups += spill_lookups
             stats.gc_events += gc_events
             stats.wear_level_moves += wear_moves
-            dram_us, pieces = self._price_media(latency, work)
-        else:
-            latency = base_latency_us + self._overhead_us
-            dram_us = int(round(latency))
-            pieces = None
+            dram_us, per_channel = self._price_media(latency, work)
+            if per_channel:
+                pieces = per_channel.items()
         stats.busy_us += latency
 
         # Timing: admission through the bounded queue, a DRAM/firmware
@@ -672,10 +707,10 @@ class Ssd:
         dram_end = admit + dram_us
         completion = dram_end
         telemetry = self.telemetry
-        if pieces:
+        if pieces is not None:
             intervals = self.intervals
             emit = telemetry.enabled
-            for channel, duration in pieces.items():
+            for channel, duration in pieces:
                 service_us += duration
                 start, end = self.channels.acquire(channel, dram_end,
                                                    duration)
@@ -692,6 +727,21 @@ class Ssd:
         ticket = CommandTicket(
             kind, lpn, count, latency, service_us, arrival, completion,
             gc_events, copybacks, op_kind, op_record, gate_kind, gate_lpns)
+
+        if telemetry.enabled:
+            telemetry.tracer.current.set(
+                kind=kind, lpn=lpn, count=count, latency_us=latency,
+                gc_events=gc_events, copyback_pages=copybacks)
+            self._m_queue_depth.set(self.ncq.inflight)
+
+        if session is not None:
+            self._enqueue(ticket)
+            session.now_us = completion
+        return ticket
+
+    def _enqueue(self, ticket: CommandTicket) -> None:
+        """Queue a ticket's completion for the device drain event."""
+        completion = ticket.completion_us
         self._cmd_seq += 1
         heappush(self._inflight, (completion, self._cmd_seq, ticket))
         # One drain event covers every queued completion: (re)schedule
@@ -705,22 +755,21 @@ class Ssd:
             self._drain_event = self.events.at(
                 completion, self._drain_due, label=self._drain_label)
 
-        if telemetry.enabled:
-            telemetry.tracer.current.set(
-                kind=kind, lpn=lpn, count=count, latency_us=latency,
-                gc_events=gc_events, copyback_pages=copybacks)
-            self._m_queue_depth.set(self.ncq.inflight)
-
-        if session is not None:
-            session.now_us = completion
-        return ticket
-
     def _wait(self, ticket: CommandTicket) -> None:
-        """Synchronous issue (no session attached): fire every
-        completion up to the command's own, advancing the clock.  Runs
-        *after* the command's fault-operation scope has exited, so the
-        deferred ack is registered before it is delivered."""
-        if self._session is None:
+        """Synchronous issue (no session attached): complete the command,
+        advancing the clock to its completion.  Runs *after* the
+        command's fault-operation scope has exited, so the deferred ack
+        is registered before it is delivered.
+
+        When the scheduler has nothing pending, the command's completion
+        would be the only event :meth:`EventScheduler.run_until` fires,
+        so it completes inline (same clock advance, ``fired`` count and
+        :meth:`_on_complete`).  Otherwise — other devices' or sessions'
+        completions outstanding — it is queued and the scheduler fires
+        everything due up to it, in global completion order."""
+        if self._session is None and not self.events.fire_if_idle(
+                ticket.completion_us, self._on_complete, ticket):
+            self._enqueue(ticket)
             self.events.run_until(ticket.completion_us)
 
     def _drain_due(self) -> None:

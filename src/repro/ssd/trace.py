@@ -102,16 +102,15 @@ class IoTrace:
         if keep not in KEEP_MODES:
             raise ValueError(
                 f"keep must be one of {KEEP_MODES}, got {keep!r}")
-        self._capacity = capacity
+        # Plain attribute, not a property: the device reads it once per
+        # completed command to skip a disabled trace.  Fixed at
+        # construction.
+        self.capacity = capacity
         self._keep = keep
         self._slots: List[Optional[Tuple]] = []
         self._head = 0          # ring write cursor (keep="newest" only)
         self._count = 0         # live records in _slots
         self.dropped = 0        # events not retained (either mode)
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
 
     @property
     def keep(self) -> str:
@@ -133,7 +132,7 @@ class IoTrace:
         self._store(_fields_of(event))
 
     def _store(self, fields: Tuple) -> None:
-        capacity = self._capacity
+        capacity = self.capacity
         if self._count < capacity:
             self._slots.append(fields)
             self._count += 1
@@ -150,7 +149,7 @@ class IoTrace:
     # -------------------------------------------------------------- reading
 
     def _ordered_fields(self) -> List[Tuple]:
-        if self._keep == "newest" and self.dropped and self._capacity:
+        if self._keep == "newest" and self.dropped and self.capacity:
             # Ring has wrapped: oldest retained record sits at _head.
             return self._slots[self._head:] + self._slots[:self._head]
         return list(self._slots)
@@ -158,7 +157,7 @@ class IoTrace:
     def snapshot(self) -> Dict[str, int]:
         """Machine-readable trace health: how much was kept vs dropped."""
         return {
-            "capacity": self._capacity,
+            "capacity": self.capacity,
             "recorded": self._count,
             "dropped": self.dropped,
             "keep": self._keep,  # type: ignore[dict-item]
@@ -217,18 +216,16 @@ class IntervalTrace:
     def __init__(self, capacity: int = 0) -> None:
         if capacity < 0:
             raise ValueError(f"capacity must be non-negative: {capacity}")
-        self._capacity = capacity
+        # Plain attribute read once per channel piece on the device's
+        # issue path; fixed at construction.
+        self.capacity = capacity
         self._slots: List[Optional[Tuple[int, int, int]]] = []
         self._head = 0
         self._count = 0
         self.dropped = 0
 
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
     def record(self, channel: int, start_us: int, end_us: int) -> None:
-        capacity = self._capacity
+        capacity = self.capacity
         if self._count < capacity:
             self._slots.append((channel, start_us, end_us))
             self._count += 1
@@ -243,7 +240,7 @@ class IntervalTrace:
 
     def intervals(self, channel: Optional[int] = None
                   ) -> List[Tuple[int, int, int]]:
-        if self.dropped and self._capacity:
+        if self.dropped and self.capacity:
             ordered = self._slots[self._head:] + self._slots[:self._head]
         else:
             ordered = list(self._slots)
@@ -261,7 +258,7 @@ class IntervalTrace:
 
     def snapshot(self) -> Dict[str, int]:
         return {
-            "capacity": self._capacity,
+            "capacity": self.capacity,
             "recorded": self._count,
             "dropped": self.dropped,
         }
