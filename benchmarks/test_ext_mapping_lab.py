@@ -1,55 +1,53 @@
-"""Extension: L2P mapping-strategy lab (footprint vs fragmentation).
+"""Extension: L2P mapping lab (footprint vs fragmentation).
 
-The tentpole refactor put the forward map behind a strategy interface
-with four backings: the flat array default, GFTL-style per-group tables,
-CCFTL-style run-length extents, and a page-differential delta encoding.
-This lab runs each backing over three device workloads —
+The FTL keeps one flat forward map; what SHARE would cost on a compact
+layout depends only on the ordered stream of ``update`` / ``remap`` /
+``clear`` calls that map receives.  This lab runs three device
+workloads once each with that stream recorded —
 
 * ``seq``    — one sequential fill of 60% of the address space,
 * ``rand``   — the fill plus random overwrites of a hot span,
 * ``share``  — the fill plus a SHARE-heavy phase remapping scattered
   sources into fresh destinations (the paper's checkpoint pattern),
 
-and records the modeled device-DRAM footprint, fragment count, SHARE
-remap splits, splits-per-pair, WAF, and raw simulation speed to
-``results/mapping_lab.jsonl`` (read back by
+replays it into the flat array's own accounting and into the
+GFTL-style grouped, CCFTL-style run-length and page-differential delta
+models (:mod:`repro.bench.l2p_models`), and records the modeled
+device-DRAM footprint, fragment count, SHARE remap splits,
+splits-per-pair and WAF to ``results/mapping_lab.jsonl`` (read back by
 ``python -m repro.tools.report --section mapping``).
 
-Shape asserted: every backing rebuilds the same logical mapping (equal
-mapped counts and read-back agreement on probes); the compact backings
-beat the flat array's footprint on the sequential fill; run-length
-extents pay measurable SHARE fragmentation (splits per pair) that the
-flat array never does; and the flat default's footprint is workload-
-independent.
+Shape asserted: every model rebuilds exactly the live mapping (equal
+mapped counts and snapshots); the compact models beat the flat array's
+footprint on the sequential fill; run-length extents pay measurable
+SHARE fragmentation (splits per pair) that the flat array never does;
+and the flat footprint is workload-independent.
 """
 
 import json
 import random
 from pathlib import Path
-from time import perf_counter
 
 from conftest import run_once
 
+from repro.bench.l2p_models import RecordingMap, fresh_models, replay
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.config import FtlConfig
-from repro.ftl.mapping import STRATEGY_NAMES
 from repro.ssd.device import Ssd, SsdConfig
 from repro.sim.clock import SimClock
 
 WORKLOADS = ("seq", "rand", "share")
+MODELS = ("delta", "flat", "group", "runlength")
 FILL_FRACTION = 0.6
 GROUP_PAGES = 64
 SEED = 0x10AB
 
 
-def _build(strategy: str) -> Ssd:
+def _build() -> Ssd:
     geometry = FlashGeometry(page_size=4096, pages_per_block=64,
                              block_count=64, overprovision_ratio=0.12)
     return Ssd(SimClock(), SsdConfig(
-        geometry=geometry,
-        ftl=FtlConfig(map_block_count=5,
-                      l2p_strategy=strategy,
-                      l2p_group_pages=GROUP_PAGES)))
+        geometry=geometry, ftl=FtlConfig(map_block_count=5)))
 
 
 def _drive(ssd: Ssd, workload: str):
@@ -79,37 +77,40 @@ def _drive(ssd: Ssd, workload: str):
     return ops, pairs
 
 
-def _run_cell(strategy: str, workload: str):
-    ssd = _build(strategy)
-    start = perf_counter()
+def _run_workload(workload: str):
+    """One flat-map run, replayed into every model: one row per model,
+    plus each model's final snapshot and the live map's."""
+    ssd = _build()
+    recorder = RecordingMap.attach(ssd.ftl)
     ops, pairs = _drive(ssd, workload)
-    elapsed = perf_counter() - start
     ssd.ftl.check_invariants()
-    fwd = ssd.ftl.fwd
-    return {
-        "type": "mapping_lab",
-        "strategy": strategy,
-        "workload": workload,
-        "ops": ops,
-        "share_pairs": pairs,
-        "mapped_lpns": fwd.mapped_count,
-        "footprint_bytes": fwd.footprint_bytes(),
-        "fragments": fwd.fragment_count(),
-        "remap_splits": fwd.remap_splits,
-        "splits_per_pair": (fwd.remap_splits / pairs) if pairs else 0.0,
-        "waf": ssd.stats.write_amplification,
-        "wall_kops_per_s": (ops / elapsed / 1e3) if elapsed > 0 else 0.0,
-        "probe": [(lpn, ssd.read(lpn))
-                  for lpn in range(0, ssd.logical_pages, 97)
-                  if ssd.ftl.is_mapped(lpn)],
-    }
+    live = list(ssd.ftl.fwd.mapped_lpns())
+    models = fresh_models(ssd.logical_pages, GROUP_PAGES)
+    rows = []
+    for name in MODELS:
+        model = replay(recorder.stream, models[name])
+        rows.append({
+            "type": "mapping_lab",
+            "strategy": name,
+            "workload": workload,
+            "ops": ops,
+            "share_pairs": pairs,
+            "mapped_lpns": model.mapped_count,
+            "footprint_bytes": model.footprint_bytes(),
+            "fragments": model.fragment_count(),
+            "remap_splits": model.remap_splits,
+            "splits_per_pair": (model.remap_splits / pairs) if pairs else 0.0,
+            "waf": ssd.stats.write_amplification,
+            "snapshot": list(model.mapped_lpns()),
+            "live": live,
+        })
+    return rows
 
 
-def test_mapping_strategy_lab(benchmark):
+def test_mapping_model_lab(benchmark):
     def sweep():
-        return [_run_cell(strategy, workload)
-                for workload in WORKLOADS
-                for strategy in sorted(STRATEGY_NAMES)]
+        return [row for workload in WORKLOADS
+                for row in _run_workload(workload)]
 
     rows = run_once(benchmark, sweep)
 
@@ -119,33 +120,30 @@ def test_mapping_strategy_lab(benchmark):
     with out.open("w") as fh:
         for row in rows:
             fh.write(json.dumps(
-                {k: v for k, v in row.items() if k != "probe"}) + "\n")
+                {k: v for k, v in row.items()
+                 if k not in ("snapshot", "live")}) + "\n")
 
     cells = {(row["workload"], row["strategy"]): row for row in rows}
     print()
     for workload in WORKLOADS:
-        for strategy in sorted(STRATEGY_NAMES):
-            row = cells[(workload, strategy)]
-            print(f"{workload:>5} / {strategy:>9}: "
+        for name in MODELS:
+            row = cells[(workload, name)]
+            print(f"{workload:>5} / {name:>9}: "
                   f"{row['footprint_bytes']:>8} B, "
                   f"{row['fragments']:>5} frags, "
                   f"{row['remap_splits']:>5} remap splits "
                   f"({row['splits_per_pair']:.3f}/pair), "
-                  f"WAF {row['waf']:.3f}, "
-                  f"{row['wall_kops_per_s']:.1f} kops/s")
+                  f"WAF {row['waf']:.3f}")
 
     for workload in WORKLOADS:
         flat = cells[(workload, "flat")]
-        for strategy in sorted(STRATEGY_NAMES):
-            row = cells[(workload, strategy)]
-            # Same logical state regardless of backing: equal mapped
-            # counts, identical read-back on the probe LPNs, same WAF
-            # (the backing never changes what hits the media).
+        for name in MODELS:
+            row = cells[(workload, name)]
+            # Every model rebuilds the live map exactly from its
+            # mutation stream.
+            assert row["snapshot"] == row["live"], (workload, name)
             assert row["mapped_lpns"] == flat["mapped_lpns"], (
-                workload, strategy)
-            assert row["probe"] == flat["probe"], (workload, strategy)
-            assert abs(row["waf"] - flat["waf"]) < 1e-9, (
-                workload, strategy)
+                workload, name)
 
     # The flat array is workload-oblivious: fixed footprint, no splits.
     flat_footprints = {cells[(w, "flat")]["footprint_bytes"]
@@ -153,11 +151,11 @@ def test_mapping_strategy_lab(benchmark):
     assert len(flat_footprints) == 1
     assert all(cells[(w, "flat")]["remap_splits"] == 0 for w in WORKLOADS)
 
-    # Compact backings win the sequential fill on footprint.
+    # Compact models win the sequential fill on footprint.
     flat_seq = cells[("seq", "flat")]["footprint_bytes"]
-    for strategy in ("group", "runlength", "delta"):
-        assert cells[("seq", strategy)]["footprint_bytes"] < flat_seq, (
-            strategy, cells[("seq", strategy)]["footprint_bytes"], flat_seq)
+    for name in ("group", "runlength", "delta"):
+        assert cells[("seq", name)]["footprint_bytes"] < flat_seq, (
+            name, cells[("seq", name)]["footprint_bytes"], flat_seq)
 
     # SHARE fragments the compact layouts: run-length pays splits per
     # pair, and random sources cost it more footprint than the clean

@@ -26,7 +26,6 @@ from typing import Optional, Tuple
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import MLC_TIMING, SATA_SSD_TIMING, FlashTiming
 from repro.ftl.config import FtlConfig
-from repro.ftl.mapping import resolve_l2p_strategy
 from repro.couchstore.engine import CommitMode, CouchConfig, CouchStore
 from repro.host.filesystem import FsConfig, HostFs
 from repro.innodb.engine import FlushMode, InnoDBConfig, InnoDBEngine
@@ -48,14 +47,6 @@ def _map_blocks_for(block_count: int) -> int:
     """Mapping-log region size: proportional to capacity (real FTLs
     reserve capacity-proportional metadata space) with a small floor."""
     return max(4, block_count // 24)
-
-
-def _l2p(l2p_strategy: Optional[str]) -> str:
-    """L2P backing for a stack: the explicit argument, else the
-    ``REPRO_L2P`` environment override, else the flat default — so one
-    env var flips every builder-made device in a run."""
-    return (l2p_strategy if l2p_strategy is not None
-            else resolve_l2p_strategy())
 
 
 class Scale(enum.Enum):
@@ -136,8 +127,7 @@ def build_innodb_stack(mode: FlushMode, page_size: int,
                        queue_depth: int = 1,
                        channel_count: Optional[int] = None,
                        plane_ways: int = 1,
-                       interval_capacity: int = 0,
-                       l2p_strategy: Optional[str] = None) -> InnoDbStack:
+                       interval_capacity: int = 0) -> InnoDbStack:
     """Assemble data device + log device + engine for one experiment cell.
 
     ``leaf_capacity`` scales with the page size by default: bigger pages
@@ -171,8 +161,7 @@ def build_innodb_stack(mode: FlushMode, page_size: int,
     data_ssd = Ssd(clock, SsdConfig(
         geometry=geometry, timing=timing,
         ftl=FtlConfig(share_table_entries=share_table_entries,
-                      map_block_count=_map_blocks_for(geometry.block_count),
-                      l2p_strategy=_l2p(l2p_strategy)),
+                      map_block_count=_map_blocks_for(geometry.block_count)),
         trace_capacity=trace_capacity, trace_keep=trace_keep,
         queue_depth=queue_depth, plane_ways=plane_ways,
         interval_capacity=interval_capacity),
@@ -192,11 +181,6 @@ def build_innodb_stack(mode: FlushMode, page_size: int,
     log_ssd = Ssd(clock, SsdConfig(geometry=log_geometry,
                                    timing=SATA_SSD_TIMING,
                                    share_enabled=False,
-                                   # Same L2P backing as the data device:
-                                   # the shared ftl.l2p.* gauges stay
-                                   # coherent across the stack.
-                                   ftl=FtlConfig(
-                                       l2p_strategy=_l2p(l2p_strategy)),
                                    queue_depth=queue_depth,
                                    plane_ways=plane_ways),
                   telemetry=telemetry, name="log", events=events,
@@ -249,8 +233,7 @@ def build_couch_stack(mode: CommitMode, record_count: int,
                       channel_count: Optional[int] = None,
                       plane_ways: int = 1,
                       trace_capacity: int = 0,
-                      interval_capacity: int = 0,
-                      l2p_strategy: Optional[str] = None) -> CouchStack:
+                      interval_capacity: int = 0) -> CouchStack:
     """Assemble the device + filesystem + couchstore for one cell.
 
     The device is sized for the record set plus the append churn of the
@@ -272,8 +255,7 @@ def build_couch_stack(mode: CommitMode, record_count: int,
     ssd = Ssd(clock, SsdConfig(
         geometry=geometry, timing=timing,
         ftl=FtlConfig(share_table_entries=share_table_entries,
-                      map_block_count=_map_blocks_for(geometry.block_count),
-                      l2p_strategy=_l2p(l2p_strategy)),
+                      map_block_count=_map_blocks_for(geometry.block_count)),
         queue_depth=queue_depth, plane_ways=plane_ways,
         trace_capacity=trace_capacity,
         interval_capacity=interval_capacity),
@@ -290,8 +272,7 @@ def build_couch_stack(mode: CommitMode, record_count: int,
 # --------------------------------------------------------------------------
 
 def build_postgres_stack(full_page_writes: bool, scale: int,
-                         timing: FlashTiming = MLC_TIMING,
-                         l2p_strategy: Optional[str] = None
+                         timing: FlashTiming = MLC_TIMING
                          ) -> Tuple[SimClock, Ssd, Ssd, PostgresEngine]:
     """Assemble a heap device + WAL device + engine."""
     clock = SimClock()
@@ -300,11 +281,10 @@ def build_postgres_stack(full_page_writes: bool, scale: int,
                              block_count=max(
                                  64, -(-(data_pages * 2) // int(128 * 0.92))),
                              overprovision_ratio=0.08)
-    ftl_config = FtlConfig(l2p_strategy=_l2p(l2p_strategy))
     data_ssd = Ssd(clock, SsdConfig(geometry=geometry, timing=timing,
-                                    share_enabled=False, ftl=ftl_config))
+                                    share_enabled=False))
     wal_ssd = Ssd(clock, SsdConfig(geometry=geometry, timing=timing,
-                                   share_enabled=False, ftl=ftl_config))
+                                   share_enabled=False))
     # Frequent checkpoints (as with pgbench's default-sized WAL) keep the
     # full-page-image cost recurring — the regime the paper's in-text
     # experiment measured.
@@ -339,8 +319,7 @@ def build_cluster_stack(shards: int = 3, keys_estimate: int = 4_000,
                         queue_limit: Optional[int] = 8,
                         vnodes: int = 64, replicas: int = 1,
                         write_quorum: int = 1,
-                        spare_shards: int = 0,
-                        l2p_strategy: Optional[str] = None) -> ClusterStack:
+                        spare_shards: int = 0) -> ClusterStack:
     """Assemble ``shards`` shard groups (primary + ``replicas`` peer
     devices each) behind a :class:`~repro.cluster.router.ShardRouter`.
 
@@ -384,8 +363,7 @@ def build_cluster_stack(shards: int = 3, keys_estimate: int = 4_000,
             geometry=geometry, timing=timing,
             ftl=FtlConfig(
                 share_table_entries=max(64, per_shard_keys // 4),
-                map_block_count=_map_blocks_for(block_count),
-                l2p_strategy=_l2p(l2p_strategy)),
+                map_block_count=_map_blocks_for(block_count)),
             queue_depth=queue_depth),
             telemetry=telemetry, name=name, events=events)
 

@@ -39,7 +39,6 @@ from repro.errors import DeviceError, PowerFailure, ReproError, ShareError
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import FAST_TIMING
 from repro.ftl.config import FtlConfig
-from repro.ftl.mapping import resolve_l2p_strategy
 from repro.host.datajournal import CheckpointMode, DataJournalingFs
 from repro.host.filesystem import FsConfig, HostFs
 from repro.innodb.engine import FlushMode, InnoDBConfig, InnoDBEngine
@@ -102,8 +101,7 @@ def _small_ssd(faults: FaultPlan, clock: SimClock,
                                      share_table_entries=share_entries,
                                      gc_low_water=gc_low_water,
                                      gc_high_water=gc_high_water,
-                                     spare_block_count=spare_blocks,
-                                     l2p_strategy=resolve_l2p_strategy()),
+                                     spare_block_count=spare_blocks),
                        queue_depth=queue_depth)
     return Ssd(clock, config, faults=faults, name=name, events=events)
 

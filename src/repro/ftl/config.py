@@ -42,16 +42,6 @@ class FtlConfig:
     program_retry_limit:
         How many fresh PPNs a single host write may try when programs keep
         failing before giving up with the typed error.
-    l2p_strategy:
-        Forward-map backing: ``"flat"`` (default; DRAM array, bit-identical
-        to the pre-strategy FTL), ``"group"`` (GFTL per-group tables),
-        ``"runlength"`` (CCFTL extent runs), or ``"delta"``
-        (Page-Differential-Logging hybrid).  See
-        :mod:`repro.ftl.mapping`; ``repro.ftl.mapping.resolve_l2p_strategy``
-        reads the ``REPRO_L2P`` environment override.
-    l2p_group_pages:
-        Group size (LPNs per group) for the ``group`` and ``delta``
-        backings; ignored by the others.
     """
 
     map_block_count: int = 4
@@ -65,8 +55,6 @@ class FtlConfig:
     scrub_after_retry: bool = True
     spare_block_count: int = 0
     program_retry_limit: int = 4
-    l2p_strategy: str = "flat"
-    l2p_group_pages: int = 64
 
     def __post_init__(self) -> None:
         if self.share_overflow_policy not in ("log", "copy"):
@@ -94,14 +82,6 @@ class FtlConfig:
         if self.program_retry_limit < 1:
             raise ValueError(
                 f"program_retry_limit must be >= 1: {self.program_retry_limit}")
-        from repro.ftl.mapping import STRATEGY_NAMES
-        if self.l2p_strategy not in STRATEGY_NAMES:
-            raise ValueError(
-                f"l2p_strategy must be one of {', '.join(STRATEGY_NAMES)}: "
-                f"{self.l2p_strategy!r}")
-        if self.l2p_group_pages < 1:
-            raise ValueError(
-                f"l2p_group_pages must be >= 1: {self.l2p_group_pages}")
 
     def deltas_per_page(self, page_size: int) -> int:
         """How many delta records fit in one mapping page — the atomic

@@ -32,12 +32,10 @@ Media faults make the log defend itself:
   the retirement survives recovery, and the stale records left in the dead
   block are harmless — they always lose the seq merge.
 
-The log is strategy-agnostic with respect to the in-DRAM forward map:
-records and spare stamps speak plain ``(LPN, PPN)``, and recovery replays
-the merged view through :class:`repro.ftl.mapping.MappingStrategy.update`,
-so the same media rebuilds identically under the flat, grouped,
-run-length, or delta-compressed backing (pinned by the parity tests in
-``tests/test_ftl_strategy_recovery.py``).
+Records and spare stamps speak plain ``(LPN, PPN)``; recovery replays the
+merged view into the flat forward map through
+:meth:`repro.ftl.mapping.FlatListMap.update`, like every other mapping
+mutation.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 This is the firmware of the reproduction's OpenSSD stand-in.  It owns:
 
-* the forward L2P table — a pluggable :class:`~repro.ftl.mapping.MappingStrategy`
-  selected by ``config.l2p_strategy`` (:mod:`repro.ftl.mapping`),
+* the forward L2P table — one flat DRAM array
+  (:class:`~repro.ftl.mapping.FlatListMap`),
 * the reverse-reference tracking with the bounded share table
   (:mod:`repro.ftl.reverse`),
 * greedy garbage collection over the data blocks,
@@ -62,7 +62,7 @@ from repro.ftl.deltalog import (
     DeltaRecord,
     MapLog,
 )
-from repro.ftl.mapping import UNMAPPED, create_strategy
+from repro.ftl.mapping import UNMAPPED, FlatListMap
 from repro.ftl.reverse import ReverseMap
 from repro.ftl.share_ext import (
     SharePair,
@@ -137,11 +137,10 @@ class PageMappingFtl:
             geometry.block_count - self.config.map_block_count))
         data_pages = len(self._data_blocks) * geometry.pages_per_block
         self._logical_pages = int(data_pages * (1.0 - geometry.overprovision_ratio))
-        self.fwd = create_strategy(self.config.l2p_strategy,
-                                   self._logical_pages,
-                                   self.config.l2p_group_pages)
-        # Hot-path fast lane: the raw LPN-indexed list on the flat
-        # backing, None otherwise (strategies answer through get()).
+        self.fwd = FlatListMap(self._logical_pages)
+        # Pre-validated hot paths read the raw LPN-indexed list; every
+        # mutation goes through fwd.update/remap/clear, so that call
+        # stream is the map's complete history.
         self._fwd_table = self.fwd.table
         self.rev = ReverseMap(self.config.share_table_entries)
         self._records_per_page = self.config.deltas_per_page(geometry.page_size)
@@ -169,9 +168,6 @@ class PageMappingFtl:
         self._m_grown_bad = metrics.counter("media.grown_bad_blocks")
         self._m_corrupt_map = metrics.counter("media.corrupt_map_pages")
         self._m_spare_pool = metrics.gauge("media.spare_pool")
-        self._m_l2p_footprint = metrics.gauge("ftl.l2p.footprint_bytes")
-        self._m_l2p_runs = metrics.gauge("ftl.l2p.runs")
-        self._m_l2p_splits = metrics.gauge("ftl.l2p.remap_splits")
         # Sampled-mode gate and wall-clock phase timers (None unless a
         # profiler is attached — one load + branch on the hot path).
         self._sampler = getattr(self.telemetry, "sampler", None)
@@ -217,16 +213,6 @@ class PageMappingFtl:
         self._txn_shadow: Dict[int, Dict[int, int]] = {}
         self._shadow_owner: Dict[int, Tuple[int, int]] = {}
         self._in_gc = False
-        self._publish_l2p_gauges()
-
-    def _publish_l2p_gauges(self) -> None:
-        """Refresh the ``ftl.l2p.*`` gauges from the strategy's O(1)
-        accounting.  Called off the per-page hot path: at init, after a
-        SHARE batch (telemetry-gated), at flush, and after recovery."""
-        fwd = self.fwd
-        self._m_l2p_footprint.set(fwd.footprint_bytes())
-        self._m_l2p_runs.set(fwd.fragment_count())
-        self._m_l2p_splits.set(fwd.remap_splits)
 
     # ------------------------------------------------------------ geometry
 
@@ -297,17 +283,14 @@ class PageMappingFtl:
         unreadable even after firmware read-retry — the typed error is the
         contract: the host never receives wrong data silently."""
         self._check_lpn_range(lpn)
-        # Range checked above: index the raw L2P table directly on the
-        # flat backing (the fast lane — one None-compare of indirection),
-        # ask the strategy on the compact backings.
-        table = self._fwd_table
+        # Range checked above: index the raw L2P table directly.
         pt_l2p = self._pt_l2p
         if pt_l2p is not None:
             t0 = perf_counter_ns()
-            ppn = table[lpn] if table is not None else self.fwd.get(lpn)
+            ppn = self._fwd_table[lpn]
             pt_l2p.add(perf_counter_ns() - t0)
         else:
-            ppn = table[lpn] if table is not None else self.fwd.get(lpn)
+            ppn = self._fwd_table[lpn]
         if ppn == UNMAPPED:
             raise UnmappedPageError(f"LPN {lpn} is unmapped")
         self.stats.host_page_reads += 1
@@ -700,8 +683,6 @@ class PageMappingFtl:
         SHAREs are already durable when their call returns."""
         with self.faults.operation("ftl.flush"):
             self._flush_pending_trims()
-        if self.telemetry.enabled:
-            self._publish_l2p_gauges()
 
     def _flush_pending_trims(self) -> None:
         if not self._pending_trims:
@@ -730,16 +711,17 @@ class PageMappingFtl:
     def _share_batch(self, pairs: Sequence[SharePair]) -> None:
         validate_batch(pairs, self._logical_pages, self.max_share_batch)
         # validate_batch bounds-checked every LPN: resolve both sides of
-        # each pair through the strategy's bulk API (this loop is the
-        # paper's "mapping-only" cost and the simulator's SHARE hot
-        # path; on the flat backing resolve_pairs indexes the raw list).
-        fwd = self.fwd
+        # each pair from the raw table (this loop is the paper's
+        # "mapping-only" cost and the simulator's SHARE hot path).
+        table = self._fwd_table
         resolved: List[Tuple[int, Optional[int], int]] = []
-        for pair, (dst_lpn, old_ppn, src_ppn) in zip(
-                pairs, fwd.resolve_pairs(pairs)):
+        for pair in pairs:
+            src_ppn = table[pair.src_lpn]
             if src_ppn == UNMAPPED:
                 raise ShareError(
                     f"source LPN {pair.src_lpn} is unmapped; nothing to share")
+            dst_lpn = pair.dst_lpn
+            old_ppn = table[dst_lpn]
             resolved.append((dst_lpn,
                              None if old_ppn == UNMAPPED else old_ppn,
                              src_ppn))
@@ -756,7 +738,7 @@ class PageMappingFtl:
         rev = self.rev
         share_backed = self._share_backed
         trim_tombstones = self._trim_tombstones
-        splits_before = fwd.remap_splits
+        remap = self.fwd.remap
         for dst_lpn, old_ppn, src_ppn in resolved:
             seq = self._next_seq()
             fit_in_dram = rev.add_extra(src_ppn, dst_lpn)
@@ -769,7 +751,7 @@ class PageMappingFtl:
                 self._work.append(("log_spill", 0))
                 self._m_share_log_spills.inc()
                 self._m_share_spill_hwm.set(rev.spilled_peak)
-            fwd.remap(dst_lpn, src_ppn)
+            remap(dst_lpn, src_ppn)
             if old_ppn is not None and old_ppn != src_ppn:
                 self._drop_ref(old_ppn, dst_lpn)
             share_backed[dst_lpn] = (src_ppn, seq)
@@ -781,9 +763,7 @@ class PageMappingFtl:
         if self.telemetry.enabled:
             sampler = self._sampler
             if sampler is None or sampler.hit():
-                observe_batch(self.telemetry.metrics, pairs,
-                              remap_splits=fwd.remap_splits - splits_before)
-                self._publish_l2p_gauges()
+                observe_batch(self.telemetry.metrics, pairs)
 
     def _reconcile_oldest_share(self) -> None:
         """Share table full: materialise a private copy for the oldest
@@ -1207,7 +1187,6 @@ class PageMappingFtl:
         self._m_spare_pool.set(len(self._spare_blocks))
         self._m_free_blocks.set(len(self._free_blocks))
         self._seq = state.max_seq + 1
-        self._publish_l2p_gauges()
 
     # --------------------------------------------------------------- debug
 

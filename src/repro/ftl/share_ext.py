@@ -105,8 +105,7 @@ def validate_batch(pairs: Sequence[SharePair], logical_pages: int,
             f"{sorted(chained)[:8]}")
 
 
-def observe_batch(metrics, pairs: Sequence[SharePair],
-                  remap_splits: int = 0) -> None:
+def observe_batch(metrics, pairs: Sequence[SharePair]) -> None:
     """Record the shape of one committed SHARE batch.
 
     Batch size drives how often the delta log spills past a single mapping
@@ -116,11 +115,7 @@ def observe_batch(metrics, pairs: Sequence[SharePair],
     * ``ftl.share.pairs`` — total pairs committed,
     * ``ftl.share.batch_pairs`` — per-batch size distribution,
     * ``ftl.share.contiguous_runs`` — per-batch count of maximal runs of
-      consecutive ``(dst, src)`` pairs (1 == fully ranged batch),
-    * ``ftl.share.remap_splits`` — L2P continuity breaks this batch caused
-      in the forward-map backing (run splits, fresh group allocations,
-      delta exceptions — always 0 on the flat strategy), the structural
-      fragmentation cost SHARE imposes on compact mappings.
+      consecutive ``(dst, src)`` pairs (1 == fully ranged batch).
     """
     metrics.counter("ftl.share.pairs").inc(len(pairs))
     metrics.histogram("ftl.share.batch_pairs").record(len(pairs))
@@ -132,5 +127,3 @@ def observe_batch(metrics, pairs: Sequence[SharePair],
             runs += 1
         prev = pair
     metrics.histogram("ftl.share.contiguous_runs").record(runs)
-    if remap_splits:
-        metrics.counter("ftl.share.remap_splits").inc(remap_splits)

@@ -534,12 +534,6 @@ class Ssd:
 
     # ----------------------------------------------------------- internals
 
-    def _work_cost_us(self, kind: str) -> float:
-        """Media time of one work-ledger entry (used for *placement* of
-        busy time onto channels; the authoritative command total is the
-        analytic formula in :meth:`_issue`)."""
-        return self._work_cost.get(kind, 0.0)
-
     def _price_media(self, latency_us: float,
                      work: Sequence[Tuple[str, int]]) -> Tuple[int, Dict[int, int]]:
         """Split one command's total latency into a front DRAM/firmware

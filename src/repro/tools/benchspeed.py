@@ -52,7 +52,6 @@ from repro.bench.harness import (SCALES, Scale, buffer_pages_for,
                                  build_cluster_stack, build_couch_stack,
                                  build_innodb_stack)
 from repro.couchstore.engine import CommitMode
-from repro.ftl.mapping import resolve_l2p_strategy
 from repro.innodb.engine import FlushMode
 from repro.obs import (DEFAULT_SAMPLE_EVERY, PhaseProfiler, Telemetry,
                        chrome_trace, export_chrome_trace, run_with_cprofile)
@@ -289,7 +288,6 @@ def run_cluster_matrix(scale: Scale) -> Dict[str, Any]:
         "schema": SCHEMA_VERSION,
         "generated_by": "repro.tools.benchspeed --cluster",
         "scale": scale.value,
-        "l2p": resolve_l2p_strategy(),
         "warmup": {"cell": "cluster tiny x1 (discarded)",
                    "wall_s": warm_record["wall_s"]},
         "python": platform.python_version(),
@@ -341,12 +339,6 @@ def compare_to_baseline(current: Dict[str, Any],
     if baseline.get("scale") != current.get("scale"):
         return True, [f"baseline scale {baseline.get('scale')!r} != "
                       f"current {current.get('scale')!r}; wall-clock "
-                      "comparison skipped"]
-    if baseline.get("l2p", "flat") != current.get("l2p", "flat"):
-        # A non-default mapping strategy trades raw speed for footprint
-        # by design; only like-for-like backings gate each other.
-        return True, [f"baseline L2P {baseline.get('l2p', 'flat')!r} != "
-                      f"current {current.get('l2p', 'flat')!r}; wall-clock "
                       "comparison skipped"]
     notes: List[str] = []
     ok = True
@@ -474,7 +466,6 @@ def run_matrix(scale: Scale, trace_out: Optional[str] = None,
         "schema": SCHEMA_VERSION,
         "generated_by": "repro.tools.benchspeed",
         "scale": scale.value,
-        "l2p": resolve_l2p_strategy(),
         "warmup": {"cell": "linkbench tiny x1 (discarded)",
                    "wall_s": warm_record["wall_s"]},
         "python": platform.python_version(),

@@ -12,13 +12,7 @@ Usage::
     python -m repro.tools.crashexplore --cluster --max-points 40
     python -m repro.tools.crashexplore --cluster-media --max-points 12
     python -m repro.tools.crashexplore --cluster-chaos --seeds 3
-    python -m repro.tools.crashexplore --workload ftl-basic --l2p runlength
     python -m repro.tools.crashexplore --list
-
-``--l2p`` (or the ``REPRO_L2P`` env var) switches the forward-map
-backing of every device the sweep builds — the same power/media/chaos
-dimensions run against the grouped, run-length, or delta-compressed
-L2P strategies (see :mod:`repro.ftl.mapping`).
 
 The default sweep enumerates every power-failure point the chosen
 workload reaches, then re-runs it once per occurrence with a power
@@ -70,7 +64,6 @@ when any invariant was violated.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -90,7 +83,6 @@ from repro.crashcheck.mediafaults import (ALL_MODES, GENERIC_MODES,
                                           enumerate_media_occurrences,
                                           explore_media)
 from repro.crashcheck.workloads import WORKLOADS
-from repro.ftl.mapping import STRATEGY_NAMES
 from repro.obs.sinks import JsonlSink
 
 
@@ -350,11 +342,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--seeds", type=int, default=3, metavar="N",
                         help="number of chaos seeds for --cluster-chaos "
                              "(default: 3)")
-    parser.add_argument("--l2p", default=None, metavar="STRATEGY",
-                        choices=sorted(STRATEGY_NAMES),
-                        help="L2P mapping strategy for every device the "
-                             f"sweep builds ({', '.join(STRATEGY_NAMES)}; "
-                             "default: the REPRO_L2P env var, else flat)")
     parser.add_argument("--list", action="store_true",
                         help="list available workloads and exit")
     parser.add_argument("--quiet", action="store_true",
@@ -372,13 +359,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               "--cluster-media and --cluster-chaos are separate sweep "
               "dimensions; pick one per run", file=sys.stderr)
         return 2
-    if args.l2p is not None:
-        # Workload harnesses resolve their FtlConfig through
-        # resolve_l2p_strategy(), which reads this env var — setting it
-        # here switches every device the sweep builds, enumeration and
-        # injection runs alike.
-        os.environ["REPRO_L2P"] = args.l2p
-        print(f"[crashexplore] L2P strategy: {args.l2p}")
     factory = WORKLOADS[args.workload]
     sink = JsonlSink(args.out)
     try:

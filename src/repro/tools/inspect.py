@@ -19,7 +19,6 @@ from typing import Dict, List, Optional
 
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.config import FtlConfig
-from repro.ftl.mapping import resolve_l2p_strategy
 from repro.sim.clock import SimClock
 from repro.ssd.device import Ssd, SsdConfig
 
@@ -30,10 +29,8 @@ def build_device(block_count: int = 128) -> Ssd:
     geometry = FlashGeometry(page_size=4096, pages_per_block=64,
                              block_count=block_count,
                              overprovision_ratio=0.1)
-    return Ssd(SimClock(), SsdConfig(
-        geometry=geometry,
-        ftl=FtlConfig(map_block_count=6,
-                      l2p_strategy=resolve_l2p_strategy())))
+    return Ssd(SimClock(), SsdConfig(geometry=geometry,
+                                     ftl=FtlConfig(map_block_count=6)))
 
 
 def run_scenario(ssd: Ssd, scenario: str, seed: int = 3) -> None:
@@ -75,10 +72,6 @@ def gather_report(ssd: Ssd) -> Dict[str, object]:
         "logical_pages": ftl.logical_pages,
         "mapped_lpns": ftl.fwd.mapped_count,
         "utilization": ftl.fwd.mapped_count / ftl.logical_pages,
-        "l2p_strategy": ftl.fwd.name,
-        "l2p_footprint_bytes": ftl.fwd.footprint_bytes(),
-        "l2p_fragments": ftl.fwd.fragment_count(),
-        "l2p_remap_splits": ftl.fwd.remap_splits,
         "free_blocks": ftl.free_block_count,
         "shared_physical_pages": shared_pages,
         "share_table_used": ftl.rev.extra_entries,

@@ -21,11 +21,9 @@ Sections:
 * ``cluster``    — the sharded tier: per-shard client latency percentiles
   with epoch and replication lag, plus tier-wide kill / failover /
   replication counters,
-* ``mapping``    — the L2P layer: the ``ftl.l2p.*`` gauges (modeled
-  footprint, fragment count, SHARE remap splits) from the final
-  snapshot, plus per-strategy comparison rows when the artifact carries
-  ``mapping_lab`` records (the committed
-  ``results/mapping_lab.jsonl`` grid).
+* ``mapping``    — the L2P models: per-layout footprint, fragment and
+  SHARE remap-split rows from the ``mapping_lab`` records of the
+  committed ``results/mapping_lab.jsonl`` grid.
 
 The artifact is whatever a :class:`repro.obs.JsonlSink` captured — metric
 snapshots (``type: "metrics"``) and finished spans (``type: "span"``).
@@ -304,71 +302,32 @@ def render_cluster(metrics: Dict) -> str:
     return "\n\n".join(parts)
 
 
-#: ``ftl.l2p.*`` gauges shown in the mapping table, as (label,
-#: name-suffix) pairs.  Names are matched bare and with any scope
-#: prefix (``device.data.ftl.l2p.…``), summing across devices.
-L2P_GAUGES = (
-    ("L2P footprint (modeled bytes)", "ftl.l2p.footprint_bytes"),
-    ("L2P fragments (runs/groups/deltas)", "ftl.l2p.runs"),
-    ("SHARE remap splits", "ftl.l2p.remap_splits"),
-)
-
-
-def mapping_summary(records: Sequence[Dict],
-                    metrics: Dict) -> Tuple[List[List], List[List]]:
-    """Gauge rows from the final snapshot and per-strategy rows from any
-    ``mapping_lab`` records in the artifact.
-
-    Gauge rows are ``[label, value]``; strategy rows are
+def mapping_summary(records: Sequence[Dict]) -> List[List]:
+    """Per-model rows from the ``mapping_lab`` records in the artifact:
     ``[strategy, workload, footprint, fragments, splits, splits/pair,
-    waf, kops/s]`` — the shape of ``results/mapping_lab.jsonl``.
-    """
-    gauge_rows: List[List] = []
-    for label, suffix in L2P_GAUGES:
-        total = 0.0
-        found = False
-        for name, value in metrics.items():
-            if name == suffix or name.endswith(f".{suffix}"):
-                if isinstance(value, (int, float)):
-                    total += value
-                    found = True
-        if found:
-            gauge_rows.append([label, total])
-    lab_rows: List[List] = []
-    for record in records:
-        if record.get("type") != "mapping_lab":
-            continue
-        lab_rows.append([
-            record.get("strategy", "?"),
-            record.get("workload", "?"),
-            record.get("footprint_bytes", 0),
-            record.get("fragments", 0),
-            record.get("remap_splits", 0),
-            round(record.get("splits_per_pair", 0.0), 3),
-            round(record.get("waf", 0.0), 3),
-            round(record.get("wall_kops_per_s", 0.0), 1),
-        ])
-    lab_rows.sort(key=lambda row: (row[1], row[0]))
-    return gauge_rows, lab_rows
+    waf]`` — the shape of ``results/mapping_lab.jsonl``."""
+    rows = [[record.get("strategy", "?"),
+             record.get("workload", "?"),
+             record.get("footprint_bytes", 0),
+             record.get("fragments", 0),
+             record.get("remap_splits", 0),
+             record.get("splits_per_pair", 0.0),
+             record.get("waf", 0.0)]
+            for record in records if record.get("type") == "mapping_lab"]
+    rows.sort(key=lambda row: (row[1], row[0]))
+    return rows
 
 
-def render_mapping(records: Sequence[Dict], metrics: Dict) -> str:
-    gauge_rows, lab_rows = mapping_summary(records, metrics)
-    parts = []
-    if gauge_rows:
-        parts.append(format_table(
-            ["gauge", "value"], gauge_rows,
-            title="L2P mapping layer (final snapshot)"))
-    if lab_rows:
-        parts.append(format_table(
-            ["strategy", "workload", "footprint_B", "fragments",
-             "remap_splits", "splits/pair", "WAF", "kops/s"],
-            lab_rows, title="Mapping-strategy lab (footprint vs WAF vs "
-                            "throughput vs SHARE fragmentation)"))
-    if not parts:
-        return ("no L2P telemetry in artifact (ftl.l2p.* gauges are "
-                "refreshed at init, SHARE batches, flush, and recovery)")
-    return "\n\n".join(parts)
+def render_mapping(records: Sequence[Dict]) -> str:
+    rows = mapping_summary(records)
+    if not rows:
+        return ("no mapping_lab records in artifact (see "
+                "results/mapping_lab.jsonl)")
+    return format_table(
+        ["model", "workload", "footprint_B", "fragments",
+         "remap_splits", "splits/pair", "WAF"],
+        rows, title="L2P mapping models (footprint vs WAF vs SHARE "
+                    "fragmentation)")
 
 
 SECTIONS = ("activities", "latency", "spans", "gc", "queue", "cluster",
@@ -391,7 +350,7 @@ def render(records: Sequence[Dict], section: str = "all") -> str:
     if section in ("all", "cluster"):
         parts.append(render_cluster(metrics))
     if section in ("all", "mapping"):
-        parts.append(render_mapping(records, metrics))
+        parts.append(render_mapping(records))
     return "\n\n".join(parts)
 
 

@@ -1,31 +1,28 @@
-"""Unit tests for the forward (L2P) mapping strategies.
+"""Unit tests for the flat forward (L2P) map and the offline L2P models.
 
-The conformance block runs against every registered backing — the
-strategy contract, not one implementation — and the per-strategy blocks
-pin the layout-specific behaviours (group alloc/free, run split/merge,
-delta anchors/exceptions) plus the SHARE remap-split accounting.
+The conformance block runs against the live flat map (through
+:class:`FlatModel`, which only adds accounting) and every compact model
+— a model that disagreed with the flat map's semantics would replay a
+wrong layout — and the per-model blocks pin the layout-specific
+behaviours (group alloc/free, run split/merge, delta anchors/exceptions)
+plus the SHARE remap-split accounting.
 """
 
 import random
 
 import pytest
 
-from repro.ftl.mapping import (
+from repro.bench.l2p_models import (
     DeltaCompressedMap,
-    FlatListMap,
-    ForwardMap,
     GroupMap,
     RunLengthMap,
-    STRATEGY_NAMES,
-    UNMAPPED,
-    create_strategy,
-    resolve_l2p_strategy,
+    fresh_models,
 )
 
 
-@pytest.fixture(params=STRATEGY_NAMES)
+@pytest.fixture(params=("flat", "group", "runlength", "delta"))
 def fwd(request):
-    return create_strategy(request.param, 16, group_pages=4)
+    return fresh_models(16, group_pages=4)[request.param]
 
 
 # ------------------------------------------------------------- conformance
@@ -35,13 +32,11 @@ def test_starts_unmapped(fwd):
     assert fwd.lookup(0) is None
     assert not fwd.is_mapped(0)
     assert fwd.mapped_count == 0
-    assert fwd.get(0) == UNMAPPED
 
 
 def test_update_and_lookup(fwd):
     assert fwd.update(3, 100) is None
     assert fwd.lookup(3) == 100
-    assert fwd.get(3) == 100
     assert fwd.mapped_count == 1
 
 
@@ -81,18 +76,11 @@ def test_mapped_lpns_iterates_live_entries_in_order(fwd):
     fwd.clear(1)
     fwd.update(2, 77)
     assert list(fwd.mapped_lpns()) == [(2, 77), (5, 50)]
-    assert fwd.snapshot() == [(2, 77), (5, 50)]
 
 
 def test_zero_size_rejected(fwd):
     with pytest.raises(ValueError):
         type(fwd)(0)
-
-
-def test_get_many_matches_get(fwd):
-    fwd.update(2, 20)
-    fwd.update(7, 70)
-    assert fwd.get_many([2, 3, 7]) == [20, UNMAPPED, 70]
 
 
 def test_remap_matches_update_semantics(fwd):
@@ -132,40 +120,6 @@ def test_randomized_agreement_with_dict(fwd):
             assert fwd.lookup(lpn) == ref.get(lpn)
     assert dict(fwd.mapped_lpns()) == ref
     assert fwd.mapped_count == len(ref)
-
-
-# --------------------------------------------------------- factory / alias
-
-
-def test_forwardmap_alias_is_flat():
-    assert ForwardMap is FlatListMap
-    fwd = ForwardMap(8)
-    assert fwd.name == "flat"
-    assert fwd.table is not None and len(fwd.table) == 8
-
-
-def test_create_strategy_rejects_unknown():
-    with pytest.raises(ValueError):
-        create_strategy("btree", 16)
-
-
-def test_resolve_l2p_strategy_env(monkeypatch):
-    monkeypatch.delenv("REPRO_L2P", raising=False)
-    assert resolve_l2p_strategy() == "flat"
-    monkeypatch.setenv("REPRO_L2P", "runlength")
-    assert resolve_l2p_strategy() == "runlength"
-    monkeypatch.setenv("REPRO_L2P", "lsm")
-    with pytest.raises(ValueError):
-        resolve_l2p_strategy()
-
-
-def test_only_flat_exposes_raw_table():
-    for name in STRATEGY_NAMES:
-        strategy = create_strategy(name, 16)
-        if name == "flat":
-            assert strategy.table is not None
-        else:
-            assert strategy.table is None
 
 
 # ------------------------------------------------------------------- group

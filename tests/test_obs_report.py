@@ -3,6 +3,7 @@ GC attribution from synthetic telemetry records, plus the end-to-end
 JSONL path through main()."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,10 +12,14 @@ from repro.tools.report import (
     gc_attribution,
     last_metrics,
     latency_table,
+    load,
     main,
     render,
     span_summary,
 )
+
+MAPPING_LAB = (Path(__file__).resolve().parent.parent / "results"
+               / "mapping_lab.jsonl")
 
 
 def span(name, span_id, parent_id=None, duration_us=10, **attrs):
@@ -182,3 +187,37 @@ class TestQueueSection:
         from repro.tools.report import render_queueing
         assert "no queueing telemetry" in render_queueing(
             {"device.data.host_write_pages": 5})
+
+
+class TestMappingSection:
+    MODELS = ("delta", "flat", "group", "runlength")
+
+    def _rows(self, text):
+        return [line.split() for line in text.splitlines()
+                if line.split()[:1] and line.split()[0] in self.MODELS]
+
+    def test_renders_every_committed_lab_row(self):
+        records = load(str(MAPPING_LAB))
+        assert len(records) == 12
+        rows = self._rows(render(records, "mapping"))
+        assert len(rows) == len(records)
+        by_cell = {(row[0], row[1]): row for row in rows}
+        assert len(by_cell) == len(records)
+        for record in records:
+            row = by_cell[(record["strategy"], record["workload"])]
+            assert row[2:5] == [str(record["footprint_bytes"]),
+                                str(record["fragments"]),
+                                str(record["remap_splits"])]
+            # Floats print with two or three decimals.
+            assert float(row[5]) == pytest.approx(
+                record["splits_per_pair"], abs=0.005)
+            assert float(row[6]) == pytest.approx(record["waf"], abs=0.005)
+
+    def test_cli_mapping_section(self, capsys):
+        assert main([str(MAPPING_LAB), "--section", "mapping"]) == 0
+        out = capsys.readouterr().out
+        assert len(self._rows(out)) == 12
+        assert "I/O activities" not in out
+
+    def test_artifact_without_lab_rows_explains_absence(self):
+        assert "no mapping_lab records" in render(SYNTHETIC, "mapping")
