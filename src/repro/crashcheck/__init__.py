@@ -3,86 +3,61 @@
 The paper's durability arguments (Sections 4.2.2 and 4.3) are stated per
 mechanism: the SHARE batch commits through a single mapping-page program,
 the doublewrite buffer repairs torn pages, the couchstore header is the
-commit point.  This package checks the *composition*: it enumerates every
-fault point a workload actually reaches (one traced run), then re-runs
-the workload once per occurrence with a power failure injected exactly
-there, recovers from the persisted media, and verifies a set of pluggable
-invariants — mapping-table agreement, recovery idempotence, bounded
-physical sharing, and each engine's read-your-acknowledged-writes
+commit point.  This package checks the *composition* with one sweep
+engine (:mod:`repro.crashcheck.sweep`): a fault-free probe run
+enumerates every site a fault kind can hit, then the workload is re-run
+once per site with that fault injected, recovered from the persisted
+media, and checked against a set of pluggable invariants —
+mapping-table agreement, recovery idempotence, bounded physical sharing,
+bad-block accounting, and each engine's read-your-acknowledged-writes
 contract.
 
-A second sweep dimension covers media faults rather than power: every
-read / program / erase operation the workload issues is targeted in turn
-with a transient read error, a program failure, an erase failure, or a
-sticky dead page, and the same invariant set (plus bad-block accounting)
-must hold on the degraded device (see :mod:`repro.crashcheck.mediafaults`).
+The fault kinds are ``power`` (a power failure at every checkpoint),
+``media`` (a NAND fault at every chip operation), ``chaos`` (a SHARE
+command fault at every SHARE), ``shard-kill`` and ``shard-storm`` (a
+shard kill or NAND storm at every ack boundary of the sharded tier) and
+``cluster-chaos`` (one seeded randomized schedule per site).  Every kind
+reports through the same ``sweep`` / ``sweep-summary`` records, and a
+budget cap samples evenly across the whole site list of any kind.
 
 Entry points:
 
-* :func:`repro.crashcheck.explorer.enumerate_occurrences` — one traced run.
-* :func:`repro.crashcheck.explorer.explore` — the full power sweep.
-* :func:`repro.crashcheck.mediafaults.explore_media` — the media sweep.
-* :func:`repro.crashcheck.cluster.explore_cluster` — the sharded-tier
-  kill sweep (``no_lost_acked_write`` at every ack boundary).
-* ``python -m repro.tools.crashexplore`` — the CLI (``--media-faults``
-  selects the media sweep, ``--cluster`` the shard-kill sweep).
+* :class:`repro.crashcheck.sweep.Sweep` — enumerate once, then
+  :meth:`~repro.crashcheck.sweep.Sweep.explore`.
+* :func:`repro.crashcheck.sweep.explore_site` — one site.
+* ``python -m repro.tools.crashexplore --faults KIND`` — the CLI.
 """
 
-from repro.crashcheck.cluster import (ClusterChaosReport, ClusterChaosResult,
-                                      ClusterChaosHarness, ClusterHarness,
-                                      ClusterMediaReport, ClusterMediaResult,
-                                      ClusterOccurrence, ClusterReport,
-                                      ClusterResult, enumerate_acked_writes,
-                                      explore_cluster, explore_cluster_chaos,
-                                      explore_cluster_media,
-                                      explore_cluster_media_occurrence,
-                                      explore_cluster_occurrence,
-                                      media_cluster_harness, run_chaos_seed)
-from repro.crashcheck.explorer import (ExplorationReport, Occurrence,
-                                       PointResult, enumerate_occurrences,
-                                       explore, explore_occurrence)
+from repro.crashcheck.cluster import (ClusterChaosHarness, ClusterHarness,
+                                      media_cluster_harness)
 from repro.crashcheck.invariants import check_media, media_accounting
-from repro.crashcheck.mediafaults import (ALL_MODES, GENERIC_MODES,
-                                          MediaOccurrence, MediaReport,
-                                          MediaResult, enumerate_media_ops,
-                                          explore_media,
-                                          explore_media_occurrence)
+from repro.crashcheck.sweep import (KINDS, ChaosKind, ClusterChaosKind, Kind,
+                                    MediaKind, PowerKind, Report,
+                                    ShardKillKind, ShardStormKind, Site,
+                                    SiteResult, Sweep, explore_site,
+                                    sample_evenly)
 from repro.crashcheck.workloads import WORKLOADS, DeviceState
 
 __all__ = [
-    "ExplorationReport",
-    "Occurrence",
-    "PointResult",
-    "enumerate_occurrences",
-    "explore",
-    "explore_occurrence",
+    "KINDS",
+    "Kind",
+    "PowerKind",
+    "MediaKind",
+    "ChaosKind",
+    "ShardKillKind",
+    "ShardStormKind",
+    "ClusterChaosKind",
+    "Site",
+    "SiteResult",
+    "Report",
+    "Sweep",
+    "explore_site",
+    "sample_evenly",
     "check_media",
     "media_accounting",
-    "ALL_MODES",
-    "GENERIC_MODES",
-    "MediaOccurrence",
-    "MediaReport",
-    "MediaResult",
-    "enumerate_media_ops",
-    "explore_media",
-    "explore_media_occurrence",
     "WORKLOADS",
     "DeviceState",
     "ClusterHarness",
-    "ClusterOccurrence",
-    "ClusterReport",
-    "ClusterResult",
-    "enumerate_acked_writes",
-    "explore_cluster",
-    "explore_cluster_occurrence",
-    "media_cluster_harness",
-    "ClusterMediaReport",
-    "ClusterMediaResult",
-    "explore_cluster_media",
-    "explore_cluster_media_occurrence",
     "ClusterChaosHarness",
-    "ClusterChaosReport",
-    "ClusterChaosResult",
-    "run_chaos_seed",
-    "explore_cluster_chaos",
+    "media_cluster_harness",
 ]

@@ -1,52 +1,34 @@
-"""Cluster crash explorer: single-shard kills at every ack boundary.
+"""Sharded-tier harnesses for the crash sweeps.
 
-The power explorer kills the whole world mid-operation; this sweep
-kills exactly one shard's primary device — power-cycle plus a latched
-breaker — *after* an acknowledged write, at every ack boundary of a
-deterministic linkbench-small KV run over three shard pairs.  The tier
-must carry the run through breaker-driven failover and still satisfy
-``no_lost_acked_write``: every write the router acked before, at, or
-after the kill reads back as its acknowledged value once the dust
-settles and every device has been power-cycled.
+Three harnesses drive :mod:`repro.cluster` under the sweep engine of
+:mod:`repro.crashcheck.sweep`:
 
-Same two-phase shape as the other sweeps:
-
-1. **Enumeration** — fresh plan with cluster-ack counting enabled, one
-   fault-free run.  Yields the number of acked writes N.
-2. **Injection** — for each boundary ``nth`` in 1..N, a fresh harness
-   on a fresh plan arms ``ShardKill(nth=nth)``, runs to completion
-   (failover happens inline — the run never aborts), recovers, and
-   checks the engine-level contract plus the media invariants on all
-   six devices.
-
-Because the harness issues ops from one synchronous client, an ack
-boundary has nothing in flight: zero violations is the expected result,
-and any nonzero count is a real bug in replication, promotion replay,
-or epoch fencing.
-
-Two further sweeps live here:
-
-* :func:`explore_cluster_media` replaces the kill with a
-  :class:`~repro.sim.faults.ShardMediaStorm` at each ack boundary — the
-  victim's NAND degrades instead of dying, the FTL absorbs each failure
-  onto a spare block, and the media-health monitor must trip a
-  *proactive* promotion before the device gives out.
-* :func:`explore_cluster_chaos` runs the seeded chaos scheduler: a
-  deterministic :func:`~repro.sim.rng.make_rng` stream interleaves
-  multi-client traffic with shard kills, media storms, transient
-  device-busy faults, and a mid-run ring resize (with a kill during the
-  migration), then checks three invariants — ``no_lost_acked_write``,
-  ``read_your_writes``, and ``replica_convergence``.
+* :class:`ClusterHarness` — three replicated shard pairs under a
+  deterministic linkbench-small KV mix.  The ``shard-kill`` kind kills
+  the acking shard's primary (power-cycle plus a latched breaker) at
+  every ack boundary; the tier must carry the run through
+  breaker-driven failover and still satisfy ``no_lost_acked_write``:
+  every write the router acked before, at, or after the kill reads back
+  as its acknowledged value once every device has been power-cycled.
+* :func:`media_cluster_harness` — the same tier with per-device fault
+  plans and spare pools, for the ``shard-storm`` kind: a
+  :class:`~repro.sim.faults.ShardMediaStorm` at each ack boundary
+  degrades the victim's NAND instead of killing it, and the
+  media-health monitor must trip a *proactive* promotion.
+* :class:`ClusterChaosHarness` — the seeded chaos scheduler of the
+  ``cluster-chaos`` kind: a deterministic :func:`~repro.sim.rng.make_rng`
+  stream interleaves multi-client traffic with shard kills, media
+  storms, transient device-busy faults, and a mid-run ring resize (with
+  a kill during the migration), checking ``no_lost_acked_write``,
+  ``read_your_writes`` and ``replica_convergence``.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster import ShardGroup, ShardRouter
-from repro.crashcheck.explorer import sample_evenly
-from repro.crashcheck.invariants import check_media
 from repro.crashcheck.workloads import DeviceState, _small_ssd
 from repro.errors import ReproError
 from repro.sim.clock import SimClock
@@ -56,25 +38,7 @@ from repro.sim.faults import (NO_FAULTS, DeviceBusy, FaultPlan, ShardKill,
 from repro.sim.rng import make_rng
 from repro.ssd.ncq import DeviceSession
 
-__all__ = [
-    "ClusterHarness",
-    "ClusterOccurrence",
-    "ClusterResult",
-    "ClusterReport",
-    "enumerate_acked_writes",
-    "explore_cluster_occurrence",
-    "explore_cluster",
-    "media_cluster_harness",
-    "ClusterMediaResult",
-    "ClusterMediaReport",
-    "explore_cluster_media_occurrence",
-    "explore_cluster_media",
-    "ClusterChaosHarness",
-    "ClusterChaosResult",
-    "ClusterChaosReport",
-    "run_chaos_seed",
-    "explore_cluster_chaos",
-]
+__all__ = ["ClusterHarness", "media_cluster_harness", "ClusterChaosHarness"]
 
 #: Shard pairs in the verification tier (>= 3 per the acceptance bar).
 CLUSTER_SHARDS = 3
@@ -222,284 +186,11 @@ class ClusterHarness:
         return [pair.guard for pair in self.pairs]
 
 
-class ClusterOccurrence(NamedTuple):
-    """One injection: kill the acking shard after acked write ``nth``."""
-
-    nth: int
-
-
-class ClusterResult(NamedTuple):
-    """Verdict for one injected shard kill."""
-
-    nth: int
-    fired: bool
-    victim: Optional[str]
-    failovers: int
-    replayed: int
-    repl_applied: int
-    violations: Tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def as_record(self, workload: str) -> Dict:
-        """The JSONL report row."""
-        return {
-            "type": "clustercheck",
-            "workload": workload,
-            "nth": self.nth,
-            "fired": self.fired,
-            "victim": self.victim,
-            "failovers": self.failovers,
-            "replayed": self.replayed,
-            "repl_applied": self.repl_applied,
-            "ok": self.ok,
-            "violations": list(self.violations),
-        }
-
-
-class ClusterReport(NamedTuple):
-    """Aggregate of one cluster kill sweep."""
-
-    workload: str
-    acked_writes: int
-    occurrences: Tuple[ClusterOccurrence, ...]
-    results: Tuple[ClusterResult, ...]
-
-    @property
-    def failures(self) -> List[ClusterResult]:
-        return [res for res in self.results if not res.ok]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def summary(self) -> Dict:
-        return {
-            "type": "clustercheck-summary",
-            "workload": self.workload,
-            "acked_writes": self.acked_writes,
-            "occurrences": len(self.occurrences),
-            "explored": len(self.results),
-            "fired": sum(1 for res in self.results if res.fired),
-            "failovers": sum(res.failovers for res in self.results),
-            "replayed": sum(res.replayed for res in self.results),
-            "violations": sum(len(res.violations) for res in self.results),
-            "ok": self.ok,
-        }
-
-
-def enumerate_acked_writes(
-        factory: Callable[[FaultPlan], object] = ClusterHarness) -> int:
-    """Phase 1: one counted, fault-free run.  Returns the number of
-    acknowledged writes — each is a kill site."""
-    faults = FaultPlan()
-    harness = factory(faults)
-    faults.cluster.enable_counting()
-    harness.run()
-    return faults.cluster.acked_writes
-
-
-def explore_cluster_occurrence(
-        factory: Callable[[FaultPlan], object],
-        occurrence: ClusterOccurrence) -> ClusterResult:
-    """Phase 2: one kill at one ack boundary, on a fresh harness."""
-    faults = FaultPlan()
-    harness = factory(faults)
-    faults.arm_cluster(ShardKill(nth=occurrence.nth))
-    harness.run()
-    fired = faults.cluster.fired_faults()
-    victim = fired[0].victim if fired else None
-    faults.disarm_cluster()
-    devices = harness.recover()
-    violations: List[str] = []
-    for state in devices:
-        violations.extend(check_media(state.name, state.ssd,
-                                      max_refs=state.max_refs))
-    violations.extend(harness.check_engine())
-    stats = harness.router.stats
-    return ClusterResult(occurrence.nth, bool(fired), victim,
-                         stats.failovers, stats.replayed_records,
-                         stats.repl_applied, tuple(violations))
-
-
-def explore_cluster(
-        factory: Callable[[FaultPlan], object] = ClusterHarness,
-        workload: str = ClusterHarness.name,
-        occurrences: Optional[List[ClusterOccurrence]] = None,
-        max_points: Optional[int] = None,
-        sink=None,
-        progress: Optional[Callable[[int, int, ClusterResult], None]] = None
-) -> ClusterReport:
-    """The full sweep: enumerate ack boundaries, kill at each one.
-
-    ``max_points`` strides evenly across the boundary list (never
-    truncates), so CI smoke runs keep early/middle/late coverage."""
-    acked = enumerate_acked_writes(factory)
-    if occurrences is None:
-        occurrences = [ClusterOccurrence(nth)
-                       for nth in range(1, acked + 1)]
-    explored = occurrences
-    if max_points is not None:
-        explored = sample_evenly(occurrences, max_points)
-    results: List[ClusterResult] = []
-    for index, occurrence in enumerate(explored):
-        result = explore_cluster_occurrence(factory, occurrence)
-        results.append(result)
-        if sink is not None:
-            sink.emit(result.as_record(workload))
-        if progress is not None:
-            progress(index + 1, len(explored), result)
-    report = ClusterReport(workload, acked, tuple(occurrences),
-                           tuple(results))
-    if sink is not None:
-        sink.emit(report.summary())
-    return report
-
-
-# --------------------------------------------------------------- media storms
-
 
 def media_cluster_harness(faults: FaultPlan) -> ClusterHarness:
     """Factory for the media sweep: per-device fault plans plus spare
     pools, so a storm degrades — not kills — its victim."""
     return ClusterHarness(faults, media=True)
-
-
-class ClusterMediaResult(NamedTuple):
-    """Verdict for one injected media storm."""
-
-    nth: int
-    fired: bool
-    victim: Optional[str]
-    media_trips: int
-    proactive_promotions: int
-    failovers: int
-    violations: Tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def as_record(self, workload: str) -> Dict:
-        """The JSONL report row."""
-        return {
-            "type": "clustermedia",
-            "workload": workload,
-            "nth": self.nth,
-            "fired": self.fired,
-            "victim": self.victim,
-            "media_trips": self.media_trips,
-            "proactive_promotions": self.proactive_promotions,
-            "failovers": self.failovers,
-            "ok": self.ok,
-            "violations": list(self.violations),
-        }
-
-
-class ClusterMediaReport(NamedTuple):
-    """Aggregate of one cluster media-storm sweep."""
-
-    workload: str
-    acked_writes: int
-    occurrences: Tuple[ClusterOccurrence, ...]
-    results: Tuple[ClusterMediaResult, ...]
-
-    @property
-    def failures(self) -> List[ClusterMediaResult]:
-        return [res for res in self.results if not res.ok]
-
-    @property
-    def proactive_promotions(self) -> int:
-        return sum(res.proactive_promotions for res in self.results)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def summary(self) -> Dict:
-        return {
-            "type": "clustermedia-summary",
-            "workload": self.workload,
-            "acked_writes": self.acked_writes,
-            "occurrences": len(self.occurrences),
-            "explored": len(self.results),
-            "fired": sum(1 for res in self.results if res.fired),
-            "media_trips": sum(res.media_trips for res in self.results),
-            "proactive_promotions": self.proactive_promotions,
-            "failovers": sum(res.failovers for res in self.results),
-            "violations": sum(len(res.violations) for res in self.results),
-            "ok": self.ok,
-        }
-
-
-def explore_cluster_media_occurrence(
-        factory: Callable[[FaultPlan], object],
-        occurrence: ClusterOccurrence) -> ClusterMediaResult:
-    """One media storm at one ack boundary, on a fresh harness.
-
-    The storm arms consecutive program/erase failures on the acking
-    shard's primary; the FTL absorbs each one onto a spare block, so no
-    client ever sees an error — the health monitor must notice the
-    ``media.*`` counters move and trip a proactive promotion."""
-    faults = FaultPlan()
-    harness = factory(faults)
-    faults.arm_cluster(ShardMediaStorm(nth=occurrence.nth))
-    harness.run()
-    fired = faults.cluster.fired_faults()
-    victim = fired[0].victim if fired else None
-    faults.disarm_cluster()
-    devices = harness.recover()
-    violations: List[str] = []
-    for state in devices:
-        violations.extend(check_media(state.name, state.ssd,
-                                      max_refs=state.max_refs))
-    violations.extend(harness.check_engine())
-    stats = harness.router.stats
-    if fired and stats.media_storms == 0:
-        violations.append(
-            "cluster-media: storm fired but the router never injected it")
-    return ClusterMediaResult(occurrence.nth, bool(fired), victim,
-                              stats.media_trips, stats.proactive_promotions,
-                              stats.failovers, tuple(violations))
-
-
-def explore_cluster_media(
-        factory: Callable[[FaultPlan], object] = media_cluster_harness,
-        workload: str = "cluster-media",
-        occurrences: Optional[List[ClusterOccurrence]] = None,
-        max_points: Optional[int] = None,
-        sink=None,
-        progress: Optional[
-            Callable[[int, int, ClusterMediaResult], None]] = None
-) -> ClusterMediaReport:
-    """The media sweep: enumerate ack boundaries, storm at each one.
-
-    Zero violations is the bar, but the interesting aggregate is
-    :attr:`ClusterMediaReport.proactive_promotions`: storms late in the
-    run may not accumulate enough health score to trip before the run
-    ends, so the CLI checks the sweep total, not every point."""
-    acked = enumerate_acked_writes(factory)
-    if occurrences is None:
-        occurrences = [ClusterOccurrence(nth)
-                       for nth in range(1, acked + 1)]
-    explored = occurrences
-    if max_points is not None:
-        explored = sample_evenly(occurrences, max_points)
-    results: List[ClusterMediaResult] = []
-    for index, occurrence in enumerate(explored):
-        result = explore_cluster_media_occurrence(factory, occurrence)
-        results.append(result)
-        if sink is not None:
-            sink.emit(result.as_record(workload))
-        if progress is not None:
-            progress(index + 1, len(explored), result)
-    report = ClusterMediaReport(workload, acked, tuple(occurrences),
-                                tuple(results))
-    if sink is not None:
-        sink.emit(report.summary())
-    return report
 
 
 # ------------------------------------------------------------ chaos schedule
@@ -793,125 +484,3 @@ class ClusterChaosHarness:
                     f"no_lost_acked_write: key {key!r} reads {observed!r}, "
                     f"acked value was {expected!r}")
         return violations
-
-
-class ClusterChaosResult(NamedTuple):
-    """Verdict for one chaos seed."""
-
-    seed: int
-    steps: int
-    acked_writes: int
-    kills: int
-    storms: int
-    busy_faults: int
-    failovers: int
-    proactive_promotions: int
-    media_trips: int
-    migrated_keys: int
-    replica_reads: int
-    ryw_checks: int
-    mid_rebalance_kill: bool
-    violations: Tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def as_record(self, workload: str) -> Dict:
-        """The JSONL report row."""
-        return {
-            "type": "clusterchaos",
-            "workload": workload,
-            "seed": self.seed,
-            "steps": self.steps,
-            "acked_writes": self.acked_writes,
-            "kills": self.kills,
-            "storms": self.storms,
-            "busy_faults": self.busy_faults,
-            "failovers": self.failovers,
-            "proactive_promotions": self.proactive_promotions,
-            "media_trips": self.media_trips,
-            "migrated_keys": self.migrated_keys,
-            "replica_reads": self.replica_reads,
-            "ryw_checks": self.ryw_checks,
-            "mid_rebalance_kill": self.mid_rebalance_kill,
-            "ok": self.ok,
-            "violations": list(self.violations),
-        }
-
-
-class ClusterChaosReport(NamedTuple):
-    """Aggregate of one chaos sweep (one result per seed)."""
-
-    workload: str
-    results: Tuple[ClusterChaosResult, ...]
-
-    @property
-    def failures(self) -> List[ClusterChaosResult]:
-        return [res for res in self.results if not res.ok]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def summary(self) -> Dict:
-        return {
-            "type": "clusterchaos-summary",
-            "workload": self.workload,
-            "seeds": len(self.results),
-            "acked_writes": sum(res.acked_writes for res in self.results),
-            "kills": sum(res.kills for res in self.results),
-            "storms": sum(res.storms for res in self.results),
-            "busy_faults": sum(res.busy_faults for res in self.results),
-            "failovers": sum(res.failovers for res in self.results),
-            "proactive_promotions": sum(res.proactive_promotions
-                                        for res in self.results),
-            "migrated_keys": sum(res.migrated_keys for res in self.results),
-            "ryw_checks": sum(res.ryw_checks for res in self.results),
-            "mid_rebalance_kills": sum(1 for res in self.results
-                                       if res.mid_rebalance_kill),
-            "violations": sum(len(res.violations) for res in self.results),
-            "ok": self.ok,
-        }
-
-
-def run_chaos_seed(seed: int, steps: int = CHAOS_STEPS) -> ClusterChaosResult:
-    """Run one seed end to end and check all three invariants."""
-    harness = ClusterChaosHarness(seed, steps=steps)
-    harness.run()
-    violations = list(harness.violations)
-    violations.extend(harness.check_convergence())
-    for state in harness.recover():
-        violations.extend(check_media(state.name, state.ssd,
-                                      max_refs=state.max_refs))
-    violations.extend(harness.check_engine())
-    stats = harness.router.stats
-    return ClusterChaosResult(seed, harness.steps, stats.acked_writes,
-                       harness.kills, harness.storms, harness.busy_faults,
-                       stats.failovers, stats.proactive_promotions,
-                       stats.media_trips, stats.migrated_keys,
-                       stats.replica_reads, harness.ryw_checks,
-                       harness.mid_rebalance_kill, tuple(violations))
-
-
-def explore_cluster_chaos(
-        seeds=(1, 2, 3),
-        steps: int = CHAOS_STEPS,
-        workload: str = ClusterChaosHarness.name,
-        sink=None,
-        progress: Optional[Callable[[int, int, ClusterChaosResult], None]] = None
-) -> ClusterChaosReport:
-    """The chaos sweep: one full randomized schedule per seed."""
-    results: List[ClusterChaosResult] = []
-    seeds = list(seeds)
-    for index, seed in enumerate(seeds):
-        result = run_chaos_seed(seed, steps=steps)
-        results.append(result)
-        if sink is not None:
-            sink.emit(result.as_record(workload))
-        if progress is not None:
-            progress(index + 1, len(seeds), result)
-    report = ClusterChaosReport(workload, tuple(results))
-    if sink is not None:
-        sink.emit(report.summary())
-    return report

@@ -23,9 +23,9 @@ The harness protocol the explorer relies on:
 * ``check_engine()`` — engine-level invariant violations as strings.
 * ``guards()`` (optional) — the :class:`~repro.host.resilience.ShareGuard`
   instances the harness's engines route SHARE through.  Harnesses that
-  expose it can be swept by the chaos explorer
-  (:mod:`repro.crashcheck.chaosfaults`), which reads the guards' local
-  stats to prove retries and fallbacks actually ran.
+  expose it can be swept by the ``chaos`` kind
+  (:class:`repro.crashcheck.sweep.ChaosKind`), which reads the guards'
+  local stats to prove retries and fallbacks actually ran.
 """
 
 from __future__ import annotations

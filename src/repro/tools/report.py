@@ -23,10 +23,14 @@ Sections:
   replication counters,
 * ``mapping``    — the L2P models: per-layout footprint, fragment and
   SHARE remap-split rows from the ``mapping_lab`` records of the
-  committed ``results/mapping_lab.jsonl`` grid.
+  committed ``results/mapping_lab.jsonl`` grid,
+* ``sweep``      — crash sweeps: one row per (kind, workload) from the
+  ``sweep-summary`` records ``python -m repro.tools.crashexplore``
+  writes (any number, any kind; repeated sweeps of one pair add up).
 
 The artifact is whatever a :class:`repro.obs.JsonlSink` captured — metric
-snapshots (``type: "metrics"``) and finished spans (``type: "span"``).
+snapshots (``type: "metrics"``), finished spans (``type: "span"``), or
+crash-sweep records.
 """
 
 from __future__ import annotations
@@ -330,8 +334,42 @@ def render_mapping(records: Sequence[Dict]) -> str:
                     "fragmentation)")
 
 
+#: Summary fields of a sweep row, then the counters shown.
+SWEEP_FIELDS = ("sites", "explored", "fired", "crashed", "aborted")
+SWEEP_COUNTERS = ("retries", "fallbacks", "failovers")
+
+
+def sweep_summary(records: Sequence[Dict]) -> List[List]:
+    """``[kind, workload, sites, explored, fired, crashed, aborted,
+    retries, fallbacks, failovers, violations]`` per (kind, workload),
+    summed over that pair's ``sweep-summary`` records."""
+    totals: Dict[Tuple[str, str], List[int]] = {}
+    for record in records:
+        if record.get("type") != "sweep-summary":
+            continue
+        counters = record.get("counters", {})
+        values = ([record.get(name, 0) for name in SWEEP_FIELDS]
+                  + [counters.get(name, 0) for name in SWEEP_COUNTERS]
+                  + [record.get("violations", 0)])
+        key = (record.get("kind", "?"), record.get("workload", "?"))
+        previous = totals.get(key, [0] * len(values))
+        totals[key] = [a + b for a, b in zip(previous, values)]
+    return [list(key) + values for key, values in sorted(totals.items())]
+
+
+def render_sweeps(records: Sequence[Dict]) -> str:
+    rows = sweep_summary(records)
+    if not rows:
+        return ("no sweep-summary records in artifact (see "
+                "python -m repro.tools.crashexplore)")
+    return format_table(
+        ["kind", "workload"] + list(SWEEP_FIELDS) + list(SWEEP_COUNTERS)
+        + ["violations"], rows,
+        title="Crash sweeps (one row per kind and workload)")
+
+
 SECTIONS = ("activities", "latency", "spans", "gc", "queue", "cluster",
-            "mapping")
+            "mapping", "sweep")
 
 
 def render(records: Sequence[Dict], section: str = "all") -> str:
@@ -351,6 +389,8 @@ def render(records: Sequence[Dict], section: str = "all") -> str:
         parts.append(render_cluster(metrics))
     if section in ("all", "mapping"):
         parts.append(render_mapping(records))
+    if section in ("all", "sweep"):
+        parts.append(render_sweeps(records))
     return "\n\n".join(parts)
 
 

@@ -221,3 +221,62 @@ class TestMappingSection:
 
     def test_artifact_without_lab_rows_explains_absence(self):
         assert "no mapping_lab records" in render(SYNTHETIC, "mapping")
+
+
+class TestSweepSection:
+    """``--section sweep`` over a file mixing a power and a media sweep,
+    written through the sweep engine's own record types."""
+
+    @staticmethod
+    def records():
+        from repro.crashcheck.sweep import Report, Site, SiteResult
+        power_sites = (Site("power", 1, point="a", point_nth=1),
+                       Site("power", 2, point="b", point_nth=1))
+        power = Report("power", "ftl-basic", ("power",), {}, power_sites,
+                       tuple(SiteResult(site, True, True, None, {}, ())
+                             for site in power_sites))
+        media_site = Site("program-fail", 3)
+        media = Report("media", "ftl-basic", ("program-fail",),
+                       {"program": 9}, (media_site,) * 4,
+                       (SiteResult(media_site, True, False,
+                                   "OutOfSpaceError", {}, ("lost",)),))
+        out = [result.as_record("power", "ftl-basic")
+               for result in power.results]
+        out.append(power.summary())
+        out.append(media.results[0].as_record("media", "ftl-basic"))
+        out.append(media.summary())
+        return out
+
+    def _rows(self, text):
+        return [line.split() for line in text.splitlines()
+                if line.split()[:1] and line.split()[0] in ("power",
+                                                            "media")]
+
+    def test_render_one_row_per_kind_and_workload(self):
+        rows = self._rows(render(self.records(), "sweep"))
+        assert rows == [
+            ["media", "ftl-basic", "4", "1", "1", "0", "1", "0", "0", "0",
+             "1"],
+            ["power", "ftl-basic", "2", "2", "2", "2", "0", "0", "0", "0",
+             "0"],
+        ]
+
+    def test_repeated_sweeps_of_one_pair_add_up(self):
+        from repro.tools.report import sweep_summary
+        records = self.records()
+        rows = sweep_summary(records + records)
+        assert [row[:4] for row in rows] == [["media", "ftl-basic", 8, 2],
+                                             ["power", "ftl-basic", 4, 4]]
+
+    def test_cli_sweep_section(self, tmp_path, capsys):
+        path = tmp_path / "sweeps.jsonl"
+        path.write_text("".join(json.dumps(record) + "\n"
+                                for record in self.records()))
+        assert main([str(path), "--section", "sweep"]) == 0
+        out = capsys.readouterr().out
+        assert "Crash sweeps" in out
+        assert len(self._rows(out)) == 2
+        assert "I/O activities" not in out
+
+    def test_artifact_without_sweeps_explains_absence(self):
+        assert "no sweep-summary records" in render(SYNTHETIC, "sweep")

@@ -15,10 +15,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.crashcheck.explorer import enumerate_occurrences, explore_occurrence
+from repro.crashcheck.sweep import KINDS, Sweep, explore_site
 from repro.crashcheck.workloads import WORKLOADS
 from repro.sim.faults import FaultPlan
 
+POWER = KINDS["power"]
 FACTORY = WORKLOADS["linkbench-small"]
 
 _CACHE = {}
@@ -27,7 +28,7 @@ _CACHE = {}
 def occurrences():
     """Enumerate once per test session (the run is deterministic)."""
     if "occ" not in _CACHE:
-        _CACHE["occ"] = enumerate_occurrences(FACTORY)
+        _CACHE["occ"] = Sweep(POWER, "linkbench-small").sites
     return _CACHE["occ"]
 
 
@@ -61,10 +62,10 @@ def test_stratified_sweep_zero_violations():
     # phase of the run (txns, commits, compaction, checkpoints).
     sample = list(occ[::23]) + [occ[-1]]
     for site in sample:
-        result = explore_occurrence(FACTORY, site)
+        result = explore_site(POWER, FACTORY, site)
         assert result.crashed, f"armed fault at {site} never fired"
         assert result.ok, (
-            f"invariant violations at {site.point} #{site.nth}: "
+            f"invariant violations at {site.point} #{site.point_nth}: "
             f"{result.violations}")
 
 
@@ -74,8 +75,9 @@ def test_stratified_sweep_zero_violations():
 def test_random_sites_hold_invariants(data):
     occ = occurrences()
     index = data.draw(st.integers(0, len(occ) - 1), label="occurrence index")
-    result = explore_occurrence(FACTORY, occ[index])
+    result = explore_site(POWER, FACTORY, occ[index])
     assert result.crashed
     assert result.ok, (
-        f"invariant violations at {result.point} #{result.nth}: "
+        f"invariant violations at {result.site.point} "
+        f"#{result.site.point_nth}: "
         f"{result.violations}")
