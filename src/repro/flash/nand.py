@@ -13,6 +13,14 @@ bytes.  The array is the *only* state that survives an injected power
 failure — everything above it (mapping tables in DRAM, buffer pools) is
 volatile and rebuilt during recovery.
 
+Storage holds no per-page object.  Two flat lists indexed by PPN carry
+the data and spare payloads (``None`` on an erased page), a set holds the
+PPNs whose program failed, and each block keeps a write pointer, the
+offset of its next page to program.  Because of rule 3 a page is
+PROGRAMMED exactly when its offset is below its block's write pointer,
+so page state is derived, never stored: one comparison answers it, and
+an erase is a slice assignment plus a pointer reset.
+
 When a :class:`~repro.sim.faults.FaultPlan` with armed media faults is
 attached, chip operations can fail the way real NAND fails:
 
@@ -32,9 +40,8 @@ degraded device.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Set, Tuple
 
 from repro.errors import (EraseFailError, ProgramError, ProgramFailError,
                           ReadError, UncorrectableReadError)
@@ -47,14 +54,6 @@ class PageState(Enum):
 
     ERASED = "erased"
     PROGRAMMED = "programmed"
-
-
-@dataclass
-class _Page:
-    state: PageState = PageState.ERASED
-    data: Any = None
-    spare: Any = None
-    failed: bool = False   # program failure consumed the page; no payload
 
 
 class NandArray:
@@ -77,7 +76,13 @@ class NandArray:
         self._total_pages = geometry.total_pages
         self._pages_per_block = geometry.pages_per_block
         self._channel_count = geometry.channel_count
-        self._pages: List[_Page] = [_Page() for _ in range(geometry.total_pages)]
+        self._data: List[Any] = [None] * geometry.total_pages
+        self._spare: List[Any] = [None] * geometry.total_pages
+        self._failed: Set[int] = set()
+        # One erased block's worth of payload slots, slice-assigned by
+        # every erase.
+        self._erased_block: List[Any] = [None] * geometry.pages_per_block
+        # Write pointer per block: pages below it are PROGRAMMED.
         self._next_program_offset: List[int] = [0] * geometry.block_count
         self.erase_counts: List[int] = [0] * geometry.block_count
         self.total_programs = 0
@@ -91,28 +96,29 @@ class NandArray:
         self.failed_programs = 0
         self.failed_erases = 0
 
-    def _count_channel_op(self, block: int) -> None:
-        self.channel_ops[block % self.geometry.channel_count] += 1
+    def _is_programmed(self, ppn: int) -> bool:
+        block = ppn // self._pages_per_block
+        return (ppn - block * self._pages_per_block
+                < self._next_program_offset[block])
 
     # ------------------------------------------------------------------ ops
 
     def program(self, ppn: int, data: Any, spare: Any = None) -> None:
         """Program one page.  Enforces no-overwrite and in-order rules.
 
-        On an injected program failure the page transitions to a *failed*
-        PROGRAMMED state: it consumed its program slot (so the in-order
-        rule is preserved for the rest of the block) but holds no data —
-        any read of it raises :class:`UncorrectableReadError`, and the
-        OOB scan skips it."""
+        On an injected program failure the page becomes *failed*: it
+        consumed its program slot (so the in-order rule is preserved for
+        the rest of the block) but holds no data — any read of it raises
+        :class:`UncorrectableReadError`, and the OOB scan skips it."""
         if not 0 <= ppn < self._total_pages:
             self.geometry.check_ppn(ppn)   # raises with the range message
-        page = self._pages[ppn]
-        if page.state is not PageState.ERASED:
-            raise ProgramError(f"PPN {ppn} already programmed; erase block first")
         block = ppn // self._pages_per_block
         offset = ppn - block * self._pages_per_block
         expected = self._next_program_offset[block]
         if offset != expected:
+            if offset < expected:
+                raise ProgramError(
+                    f"PPN {ppn} already programmed; erase block first")
             raise ProgramError(
                 f"out-of-order program in block {block}: page offset {offset}, "
                 f"expected {expected}")
@@ -121,19 +127,14 @@ class NandArray:
             try:
                 media.on_program(ppn)
             except ProgramFailError:
-                page.state = PageState.PROGRAMMED
-                page.data = None
-                page.spare = None
-                page.failed = True
+                self._failed.add(ppn)
                 self._next_program_offset[block] = offset + 1
                 self.total_programs += 1
                 self.channel_ops[block % self._channel_count] += 1
                 self.failed_programs += 1
                 raise
-        page.state = PageState.PROGRAMMED
-        page.data = data
-        page.spare = spare
-        page.failed = False
+        self._data[ppn] = data
+        self._spare[ppn] = spare
         self._next_program_offset[block] = offset + 1
         self.total_programs += 1
         self.channel_ops[block % self._channel_count] += 1
@@ -142,19 +143,18 @@ class NandArray:
         """Read the data payload of a programmed page."""
         if not 0 <= ppn < self._total_pages:
             self.geometry.check_ppn(ppn)   # raises with the range message
-        page = self._pages[ppn]
-        if page.state is not PageState.PROGRAMMED:
+        block = ppn // self._pages_per_block
+        if ppn - block * self._pages_per_block \
+                >= self._next_program_offset[block]:
             raise ReadError(f"PPN {ppn} is erased; nothing to read")
         self.total_reads += 1
-        self.channel_ops[(ppn // self._pages_per_block)
-                         % self._channel_count] += 1
-        if page.failed:
+        self.channel_ops[block % self._channel_count] += 1
+        if ppn in self._failed:
             self.failed_reads += 1
             raise UncorrectableReadError(
                 f"PPN {ppn} failed during program; payload unreadable")
         media = self.faults.media
         if media.active:
-            block = self.geometry.block_of(ppn)
             try:
                 corrupt = media.on_read(ppn, self.erase_counts[block])
             except UncorrectableReadError:
@@ -162,7 +162,7 @@ class NandArray:
                 raise
             if corrupt:
                 return (CORRUPT_PAYLOAD, ppn)
-        return page.data
+        return self._data[ppn]
 
     def read_spare(self, ppn: int) -> Any:
         """Read only the spare-area record (cheap OOB scan during recovery).
@@ -170,10 +170,9 @@ class NandArray:
         The spare area is modelled as separately protected, so this never
         consults read faults; a *failed* page still has no spare to give."""
         self.geometry.check_ppn(ppn)
-        page = self._pages[ppn]
-        if page.state is not PageState.PROGRAMMED:
+        if not self._is_programmed(ppn):
             raise ReadError(f"PPN {ppn} is erased; no spare data")
-        return page.spare
+        return self._spare[ppn]
 
     def erase(self, block: int) -> None:
         """Erase a whole block, returning every page in it to ERASED.
@@ -189,35 +188,36 @@ class NandArray:
             except EraseFailError:
                 self.failed_erases += 1
                 raise
-        start = self.geometry.first_ppn(block)
-        for ppn in range(start, start + self.geometry.pages_per_block):
-            page = self._pages[ppn]
-            page.state = PageState.ERASED
-            page.data = None
-            page.spare = None
-            page.failed = False
+        start = block * self._pages_per_block
+        end = start + self._pages_per_block
+        self._data[start:end] = self._erased_block
+        self._spare[start:end] = self._erased_block
+        if self._failed:
+            self._failed = {ppn for ppn in self._failed
+                            if not start <= ppn < end}
         self._next_program_offset[block] = 0
         self.erase_counts[block] += 1
         self.total_erases += 1
-        self._count_channel_op(block)
+        self.channel_ops[block % self._channel_count] += 1
 
     # -------------------------------------------------------------- queries
 
     def state_of(self, ppn: int) -> PageState:
         self.geometry.check_ppn(ppn)
-        return self._pages[ppn].state
+        if self._is_programmed(ppn):
+            return PageState.PROGRAMMED
+        return PageState.ERASED
 
     def is_programmed(self, ppn: int) -> bool:
         """True when the page holds *readable* programmed data (a page that
         failed during program is not usable and reports False)."""
         self.geometry.check_ppn(ppn)
-        page = self._pages[ppn]
-        return page.state is PageState.PROGRAMMED and not page.failed
+        return self._is_programmed(ppn) and ppn not in self._failed
 
     def is_failed(self, ppn: int) -> bool:
         """True when the page consumed its program slot but failed."""
         self.geometry.check_ppn(ppn)
-        return self._pages[ppn].failed
+        return ppn in self._failed
 
     def programmed_pages_in_block(self, block: int) -> int:
         """How many pages of ``block`` have been programmed since its last
@@ -230,15 +230,13 @@ class NandArray:
         program order.  This is the recovery-time OOB scan; pages that
         failed during program are skipped (they hold no spare stamp)."""
         self.geometry.check_block(block)
-        start = self.geometry.first_ppn(block)
-        out: List[Tuple[int, Any]] = []
-        for offset in range(self._next_program_offset[block]):
-            ppn = start + offset
-            page = self._pages[ppn]
-            if page.failed:
-                continue
-            out.append((ppn, page.spare))
-        return out
+        start = block * self._pages_per_block
+        spare = self._spare
+        failed = self._failed
+        return [(ppn, spare[ppn])
+                for ppn in range(start,
+                                 start + self._next_program_offset[block])
+                if ppn not in failed]
 
     @property
     def max_erase_count(self) -> int:

@@ -114,24 +114,32 @@ class BTree:
         return self.get(key) is not None
 
     def range(self, low: Any, high: Any, limit: Optional[int] = None
-              ) -> Iterator[Tuple[Any, Any]]:
-        """Yield (key, row) for low <= key <= high in key order."""
-        leaf_id, node, __ = self._descend(low)
-        yielded = 0
+              ) -> List[Tuple[Any, Any]]:
+        """(key, row) for low <= key <= high in key order, at most
+        ``limit`` of them (a limit below 1 still returns the first row).
+
+        Each leaf contributes one slice between ``bisect_left(low)`` and
+        ``bisect_right(high)``.  The next leaf is fetched only while the
+        scan could still continue into it: the limit is not yet reached
+        and no key of this leaf from ``low`` on lies above ``high``."""
+        __, node, __ = self._descend(low)
+        bisect_left = bisect.bisect_left
+        bisect_right = bisect.bisect_right
+        room = None if limit is None else max(limit, 1)
+        out: List[Tuple[Any, Any]] = []
         while True:
             __, keys, rows, next_leaf = node
-            start = bisect.bisect_left(keys, low)
-            for index in range(start, len(keys)):
-                if keys[index] > high:
-                    return
-                yield keys[index], rows[index]
-                yielded += 1
-                if limit is not None and yielded >= limit:
-                    return
-            if next_leaf is None:
-                return
-            leaf_id = next_leaf
-            node = self._node(leaf_id)
+            start = bisect_left(keys, low)
+            stop = max(start, bisect_right(keys, high))
+            full = room is not None and stop - start >= room
+            if full:
+                stop = start + room
+            out.extend(zip(keys[start:stop], rows[start:stop]))
+            if full or stop < len(keys) or next_leaf is None:
+                return out
+            if room is not None:
+                room -= stop - start
+            node = self._node(next_leaf)
 
     # -------------------------------------------------------------- insert
 

@@ -70,6 +70,14 @@ class InnoDBConfig:
                 f"{self.dirty_flush_threshold}")
 
 
+class _Tables(dict):
+    """Table name -> tree; looking up an unknown name is an engine
+    error, so transactions index it directly."""
+
+    def __missing__(self, name: str) -> BTree:
+        raise EngineError(f"no such table: {name}")
+
+
 class InnoDBEngine:
     """MySQL/InnoDB stand-in with pluggable page-flush mode."""
 
@@ -105,7 +113,7 @@ class InnoDBEngine:
         # every commit).
         self._flush_trigger = (self.config.buffer_pool_pages
                                * self.config.dirty_flush_threshold)
-        self.tables: Dict[str, BTree] = {}
+        self.tables: Dict[str, BTree] = _Tables()
         self._in_transaction = False
         self.transactions = 0
         self.flush_batches = 0
@@ -123,9 +131,6 @@ class InnoDBEngine:
             raise EngineError(
                 f"block {page_id} does not hold a page image: {page!r}")
         return page
-
-    def _write_page(self, page: Page) -> None:
-        self.pool.put(page)
 
     def _allocate_page(self) -> int:
         page_id = self._next_page_id
@@ -163,19 +168,16 @@ class InnoDBEngine:
             raise EngineError(f"table exists: {name}")
         tree = BTree(name,
                      fetch=self.pool.fetch,
-                     write=self._write_page,
+                     write=self.pool.put,
                      allocate=self._allocate_page,
-                     next_lsn=lambda: self.redo.next_lsn,
+                     next_lsn=self.redo.next_lsn,
                      leaf_capacity=self.config.leaf_capacity,
                      internal_fanout=self.config.internal_fanout)
         self.tables[name] = tree
         return tree
 
     def table(self, name: str) -> BTree:
-        tree = self.tables.get(name)
-        if tree is None:
-            raise EngineError(f"no such table: {name}")
-        return tree
+        return self.tables[name]
 
     # ------------------------------------------------------- transactions
 
@@ -229,7 +231,7 @@ class InnoDBEngine:
                        self._next_page_id)
             self.tablespace.pwrite_block(
                 CATALOG_PAGE_ID,
-                Page(CATALOG_PAGE_ID, self.redo.next_lsn, payload))
+                Page(CATALOG_PAGE_ID, self.redo.next_lsn(), payload))
             self.tablespace.fsync()
             self.faults.checkpoint("innodb.ckpt_end")
 
@@ -252,31 +254,34 @@ class Transaction:
     """
 
     def __init__(self, engine: InnoDBEngine) -> None:
-        self._engine = engine
+        self._tables = engine.tables
+        self._redo = engine.redo
         self._undo: List = []
         self._redo_mark = len(engine.redo._pending)
 
     # Reads -----------------------------------------------------------------
 
     def get(self, table: str, key: Any) -> Optional[Any]:
-        return self._engine.table(table).get(key)
+        return self._tables[table].get(key)
 
     def range(self, table: str, low: Any, high: Any,
               limit: Optional[int] = None) -> List:
-        return list(self._engine.table(table).range(low, high, limit))
+        # list(): a wrapped BTree.range (perfbench's layer tracer) may
+        # hand back an iterator; callers index and test the result.
+        return list(self._tables[table].range(low, high, limit))
 
     # Writes ----------------------------------------------------------------
 
     def put(self, table: str, key: Any, row: Any) -> bool:
-        tree = self._engine.table(table)
-        self._engine.redo.append(("put", table, key, row))
+        tree = self._tables[table]
+        self._redo.append(("put", table, key, row))
         was_new, old_row = tree.upsert(key, row)
         self._undo.append((table, key, old_row))
         return was_new
 
     def delete(self, table: str, key: Any) -> bool:
-        tree = self._engine.table(table)
-        self._engine.redo.append(("delete", table, key))
+        tree = self._tables[table]
+        self._redo.append(("delete", table, key))
         old_row, existed = tree.pop(key)
         self._undo.append((table, key, old_row))
         return existed
@@ -287,13 +292,13 @@ class Transaction:
         """Apply undo records newest-first and drop the un-committed redo
         tail (it never reached the log device)."""
         for table, key, old_row in reversed(self._undo):
-            tree = self._engine.table(table)
+            tree = self._tables[table]
             if old_row is None:
                 tree.delete(key)
             else:
                 tree.put(key, old_row)
         self._undo.clear()
-        del self._engine.redo._pending[self._redo_mark:]
+        del self._redo._pending[self._redo_mark:]
 
 
 class _TransactionScope:

@@ -38,8 +38,8 @@ class RedoLog:
         self._committed_through = 0
         self.commits = 0
 
-    @property
     def next_lsn(self) -> int:
+        """The LSN the next appended record will get."""
         return self._next_lsn
 
     @property

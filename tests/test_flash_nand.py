@@ -101,3 +101,28 @@ def test_out_of_range_rejected(nand):
         nand.program(total, "x")
     with pytest.raises(ValueError):
         nand.erase(nand.geometry.block_count)
+
+
+def test_media_footprint_is_constant_in_page_count():
+    """The array holds no per-page object: building one with the
+    ycsb-f-compact benchmark's geometry (1,642 blocks x 128 pages) adds a
+    constant number of GC-tracked objects, and an erase adds none."""
+    import gc
+
+    geometry = FlashGeometry(page_size=4096, pages_per_block=128,
+                             block_count=1642, overprovision_ratio=0.08)
+    assert geometry.total_pages == 210_176
+    gc.collect()
+    before = len(gc.get_objects())
+    nand = NandArray(geometry)
+    gc.collect()
+    assert len(gc.get_objects()) - before < 32
+    for offset in range(geometry.pages_per_block):
+        nand.program(offset, offset, spare=offset)   # untracked payloads
+    gc.collect()
+    before = len(gc.get_objects())
+    nand.erase(0)
+    nand.erase(1)
+    gc.collect()
+    assert len(gc.get_objects()) == before
+    assert nand.programmed_pages_in_block(0) == 0

@@ -18,7 +18,7 @@ def log(clock):
 def test_append_assigns_lsns(log):
     assert log.append("a") == 1
     assert log.append("b") == 2
-    assert log.next_lsn == 3
+    assert log.next_lsn() == 3
 
 
 def test_records_not_durable_until_commit(log):
